@@ -141,52 +141,53 @@ type SubRequest struct {
 // sub-requests. Because a contiguous logical range touches a contiguous
 // run of each server's stripes, each touched server receives exactly one
 // contiguous sub-request; results are ordered by server index.
-func (st Striping) Map(off, size int64) []SubRequest {
+func (st Striping) Map(off, size int64) []SubRequest { return mapRange(st, off, size) }
+
+// Fragments calls fn for each stripe fragment of the logical range
+// [off, off+size), in logical order: the fragment's logical offset pos,
+// the server holding it, its offset local within that server's object,
+// and its length n. Each step consumes to the end of the current stripe
+// or of the range, whichever is first, so the walk runs
+// O(size / min stripe + servers) times. It is the one enumeration of a
+// layout's fragments: Map folds it into sub-requests and the file system
+// slices payloads with it.
+func Fragments[M Mapper](m M, off, size int64, fn func(pos int64, server int, local, n int64)) {
+	for pos, end := off, off+size; pos < end; {
+		server, local := m.Locate(pos)
+		stripe := m.StripeOf(server)
+		n := stripe - local%stripe
+		if rem := end - pos; n > rem {
+			n = rem
+		}
+		fn(pos, server, local, n)
+		pos += n
+	}
+}
+
+// mapRange is Map for any layout: the fragment walk folded into one
+// sub-request per touched server.
+func mapRange[M Mapper](m M, off, size int64) []SubRequest {
 	if off < 0 || size < 0 {
 		panic(fmt.Sprintf("layout: invalid range %d+%d", off, size))
 	}
 	if size == 0 {
 		return nil
 	}
-	round := st.RoundSize()
-	if round <= 0 {
-		panic(fmt.Sprintf("layout: %v stores no data", st))
-	}
-
-	// first[i]/last[i] track the first and last local byte touched on
-	// server i; contiguity of the stripe run guarantees everything in
-	// between is covered.
-	total := st.Servers()
-	first := make([]int64, total)
-	last := make([]int64, total)
-	for i := range first {
-		first[i] = -1
-	}
-
-	// Walk stripe fragments. Each iteration consumes to the end of the
-	// current stripe (or the request, whichever is first), so the loop
-	// runs O(size / min stripe + servers) times.
-	pos := off
-	end := off + size
-	for pos < end {
-		server, local := st.Locate(pos)
-		stripe := st.StripeOf(server)
-		inStripe := local % stripe
-		frag := stripe - inStripe
-		if rem := end - pos; frag > rem {
-			frag = rem
+	// extents[i] tracks the first and last local byte touched on server
+	// i; contiguity of the stripe run guarantees everything in between is
+	// covered. A fragment is never empty, so last == 0 means untouched.
+	extents := make([]struct{ first, last int64 }, m.Servers())
+	Fragments(m, off, size, func(_ int64, server int, local, n int64) {
+		e := &extents[server]
+		if e.last == 0 {
+			e.first = local
 		}
-		if first[server] == -1 {
-			first[server] = local
-		}
-		last[server] = local + frag
-		pos += frag
-	}
-
+		e.last = local + n
+	})
 	var subs []SubRequest
-	for i := 0; i < total; i++ {
-		if first[i] >= 0 {
-			subs = append(subs, SubRequest{Server: i, Local: first[i], Size: last[i] - first[i]})
+	for i, e := range extents {
+		if e.last > 0 {
+			subs = append(subs, SubRequest{Server: i, Local: e.first, Size: e.last - e.first})
 		}
 	}
 	return subs

@@ -130,46 +130,7 @@ func (t Tiered) Locate(off int64) (server int, local int64) {
 
 // Map splits [off, off+size) into per-server sub-requests, one contiguous
 // range per touched server, ordered by server index.
-func (t Tiered) Map(off, size int64) []SubRequest {
-	if off < 0 || size < 0 {
-		panic(fmt.Sprintf("layout: invalid range %d+%d", off, size))
-	}
-	if size == 0 {
-		return nil
-	}
-	round := t.RoundSize()
-	if round <= 0 {
-		panic(fmt.Sprintf("layout: %v stores no data", t))
-	}
-	total := t.Servers()
-	first := make([]int64, total)
-	last := make([]int64, total)
-	for i := range first {
-		first[i] = -1
-	}
-	pos := off
-	end := off + size
-	for pos < end {
-		server, local := t.Locate(pos)
-		stripe := t.StripeOf(server)
-		frag := stripe - local%stripe
-		if rem := end - pos; frag > rem {
-			frag = rem
-		}
-		if first[server] == -1 {
-			first[server] = local
-		}
-		last[server] = local + frag
-		pos += frag
-	}
-	var subs []SubRequest
-	for i := 0; i < total; i++ {
-		if first[i] >= 0 {
-			subs = append(subs, SubRequest{Server: i, Local: first[i], Size: last[i] - first[i]})
-		}
-	}
-	return subs
-}
+func (t Tiered) Map(off, size int64) []SubRequest { return mapRange(t, off, size) }
 
 // TierDistribution generalizes Distribution: per tier, the number of
 // touched servers and the largest sub-request — the quantities the

@@ -86,50 +86,63 @@ func (w *World) CreateHARL(name string, rst *harl.RST, done func(*HARLFile, erro
 		return
 	}
 	hCount, sCount := w.fs.CountRoles()
-	f := &HARLFile{
-		name:    name,
-		rst:     rst,
-		r2f:     harl.BuildR2F(name, rst),
-		handles: make([][]*pfs.File, len(rst.Entries)),
-	}
-	for _, e := range rst.Entries {
-		f.bounds = append(f.bounds, regionBound{Offset: e.Offset, End: e.End})
-	}
-	f.instrumentRegions(w.fs.Metrics())
-	var createRegion func(i int)
-	createRegion = func(i int) {
-		if i == len(rst.Entries) {
-			f.tagRegionHandles()
-			done(f, nil)
-			return
-		}
-		e := rst.Entries[i]
+	r2f := harl.BuildR2F(name, rst)
+	regions := make([]regionFile, len(rst.Entries))
+	for i, e := range rst.Entries {
 		st := layout.Striping{M: hCount, N: sCount, H: e.H, S: e.S}
-		f.handles[i] = make([]*pfs.File, w.Ranks())
-		created := func(h *pfs.File, err error) {
-			if err != nil {
-				done(nil, fmt.Errorf("mpiio: create region %d of %q: %w", i, name, err))
-				return
-			}
-			f.handles[i][0] = h
-			w.openRemaining(f.r2f.File(i), f.handles[i], 1, func(err error) {
-				if err != nil {
-					done(nil, err)
-					return
-				}
-				createRegion(i + 1)
-			})
-		}
+		regions[i] = regionFile{regionBound{e.Offset, e.End}, r2f.File(i), st, repl.Spec{}}
 		if e.R > 1 {
 			// A replicated region places tier-affine replica groups per
 			// slot, rotated by region index so consecutive regions spread
 			// their backup load over different servers.
-			w.Client(0).CreateReplicated(f.r2f.File(i), st, repl.Place(st, int(e.R), i), created)
-		} else {
-			w.Client(0).Create(f.r2f.File(i), st, created)
+			regions[i].repl = repl.Place(st, int(e.R), i)
 		}
 	}
-	createRegion(0)
+	w.createRegions(&HARLFile{name: name, rst: rst, r2f: r2f}, regions, done)
+}
+
+// regionFile is one region's physical file: its logical range, name,
+// layout and replica placement (zero for an unreplicated region).
+type regionFile struct {
+	bound  regionBound
+	file   string
+	layout layout.Mapper
+	repl   repl.Spec
+}
+
+// createRegions creates each region's physical file in order and opens it
+// on every rank, then hands back the assembled file.
+func (w *World) createRegions(f *HARLFile, regions []regionFile, done func(*HARLFile, error)) {
+	for _, r := range regions {
+		f.bounds = append(f.bounds, r.bound)
+	}
+	f.handles = make([][]*pfs.File, len(regions))
+	f.instrumentRegions(w.fs.Metrics())
+	var create func(i int)
+	create = func(i int) {
+		if i == len(regions) {
+			f.tagRegionHandles()
+			done(f, nil)
+			return
+		}
+		r := regions[i]
+		f.handles[i] = make([]*pfs.File, w.Ranks())
+		w.Client(0).CreateReplicated(r.file, r.layout, r.repl, func(h *pfs.File, err error) {
+			if err != nil {
+				done(nil, fmt.Errorf("mpiio: create region %d of %q: %w", i, f.name, err))
+				return
+			}
+			f.handles[i][0] = h
+			w.openRemaining(r.file, f.handles[i], 1, func(err error) {
+				if err != nil {
+					done(nil, err)
+					return
+				}
+				create(i + 1)
+			})
+		})
+	}
+	create(0)
 }
 
 // span is one region-local piece of a logical request.
@@ -165,69 +178,70 @@ func (f *HARLFile) split(off, size int64) []span {
 	return spans
 }
 
-// WriteAt implements File: split at region boundaries and fan out.
-func (f *HARLFile) WriteAt(rank int, off int64, data []byte, done func(error)) {
-	spans := f.split(off, int64(len(data)))
+// do splits a request at region boundaries and hands each region-local
+// piece to its region file under one MPI span; a piece's Data is its
+// slice of the caller's buffer, so reads land in place.
+func (f *HARLFile) do(rank int, r pfs.Request, done func(error)) {
+	spans := f.split(r.Off, r.Size)
 	if len(spans) == 0 {
 		f.engine().Schedule(0, func() { done(nil) })
 		return
 	}
-	tr, mpiSpan := f.beginMPI("mpi.write", rank, off, int64(len(data)), len(spans))
+	name, counters := "mpi.read", f.mRegionRead
+	if r.Op == device.Write {
+		name, counters = "mpi.write", f.mRegionWrite
+	}
+	tr, mpiSpan := f.beginMPI(name, rank, r.Off, r.Size, len(spans))
 	remaining := sim.NewErrCountdown(len(spans), func(err error) {
 		if tr != nil {
 			tr.End(mpiSpan, obs.T("status", opStatus(err)))
 		}
 		done(err)
 	})
-	var consumed int64
+	var at int64
 	for _, sp := range spans {
-		piece := data[consumed : consumed+sp.length]
-		consumed += sp.length
-		if f.mRegionWrite != nil {
-			f.mRegionWrite[sp.region].Add(sp.length)
+		piece := pfs.Request{Op: r.Op, Off: sp.local, Size: sp.length, Parent: mpiSpan}
+		if r.Data != nil {
+			piece.Data = r.Data[at : at+sp.length]
 		}
-		f.mon.Observe(device.Write, sp.region, sp.local, sp.length)
-		f.handles[sp.region][rank].WriteAtSpan(mpiSpan, piece, sp.local, func(err error) {
-			remaining.Done(err)
-		})
+		at += sp.length
+		if counters != nil {
+			counters[sp.region].Add(sp.length)
+		}
+		f.mon.Observe(r.Op, sp.region, sp.local, sp.length)
+		f.handles[sp.region][rank].Do(piece, remaining.Done)
 	}
 }
 
-// ReadAt implements File: gather the pieces back in logical order.
+// WriteAt implements File: split at region boundaries and fan out.
+func (f *HARLFile) WriteAt(rank int, off int64, data []byte, done func(error)) {
+	f.do(rank, pfs.Request{Op: device.Write, Off: off, Size: int64(len(data)), Data: data}, done)
+}
+
+// ReadAt implements File: each region's piece lands in place in the
+// logical buffer.
 func (f *HARLFile) ReadAt(rank int, off, size int64, done func([]byte, error)) {
-	spans := f.split(off, size)
-	if len(spans) == 0 {
-		f.engine().Schedule(0, func() { done(nil, nil) })
-		return
+	var out []byte
+	if size > 0 {
+		out = make([]byte, size)
 	}
-	tr, mpiSpan := f.beginMPI("mpi.read", rank, off, size, len(spans))
-	out := make([]byte, size)
-	remaining := sim.NewErrCountdown(len(spans), func(err error) {
-		if tr != nil {
-			tr.End(mpiSpan, obs.T("status", opStatus(err)))
-		}
+	f.do(rank, pfs.Request{Op: device.Read, Off: off, Size: size, Data: out}, func(err error) {
 		if err != nil {
 			done(nil, err)
 			return
 		}
 		done(out, nil)
 	})
-	var consumed int64
-	for _, sp := range spans {
-		sp := sp
-		at := consumed
-		consumed += sp.length
-		if f.mRegionRead != nil {
-			f.mRegionRead[sp.region].Add(sp.length)
-		}
-		f.mon.Observe(device.Read, sp.region, sp.local, sp.length)
-		f.handles[sp.region][rank].ReadAtSpan(mpiSpan, sp.local, sp.length, func(data []byte, err error) {
-			if err == nil {
-				copy(out[at:at+sp.length], data)
-			}
-			remaining.Done(err)
-		})
-	}
+}
+
+// WriteZeros implements PhantomFile, splitting at region boundaries.
+func (f *HARLFile) WriteZeros(rank int, off, size int64, done func(error)) {
+	f.do(rank, pfs.Request{Op: device.Write, Off: off, Size: size}, done)
+}
+
+// ReadDiscard implements PhantomFile, splitting at region boundaries.
+func (f *HARLFile) ReadDiscard(rank int, off, size int64, done func(error)) {
+	f.do(rank, pfs.Request{Op: device.Read, Off: off, Size: size}, done)
 }
 
 // beginMPI opens a logical-request span on the issuing rank's client
@@ -317,41 +331,12 @@ func (w *World) CreateHARLTiered(name string, trst *harl.TieredRST, done func(*H
 		done(nil, fmt.Errorf("mpiio: empty tiered RST for %q", name))
 		return
 	}
-	f := &HARLFile{
-		name:    name,
-		handles: make([][]*pfs.File, len(trst.Entries)),
-	}
-	for _, e := range trst.Entries {
-		f.bounds = append(f.bounds, regionBound{Offset: e.Offset, End: e.End})
-	}
-	f.instrumentRegions(w.fs.Metrics())
-	var createRegion func(i int)
-	createRegion = func(i int) {
-		if i == len(trst.Entries) {
-			f.tagRegionHandles()
-			done(f, nil)
-			return
-		}
-		e := trst.Entries[i]
+	regions := make([]regionFile, len(trst.Entries))
+	for i, e := range trst.Entries {
 		lo := layout.Tiered{Counts: trst.Counts, Stripes: e.Stripes}
-		f.handles[i] = make([]*pfs.File, w.Ranks())
-		regionFile := fmt.Sprintf("%s.r%d", name, i)
-		w.Client(0).Create(regionFile, lo, func(h *pfs.File, err error) {
-			if err != nil {
-				done(nil, fmt.Errorf("mpiio: create region %d of %q: %w", i, name, err))
-				return
-			}
-			f.handles[i][0] = h
-			w.openRemaining(regionFile, f.handles[i], 1, func(err error) {
-				if err != nil {
-					done(nil, err)
-					return
-				}
-				createRegion(i + 1)
-			})
-		})
+		regions[i] = regionFile{regionBound{e.Offset, e.End}, fmt.Sprintf("%s.r%d", name, i), lo, repl.Spec{}}
 	}
-	createRegion(0)
+	w.createRegions(&HARLFile{name: name}, regions, done)
 }
 
 func (f *HARLFile) engine() *sim.Engine {

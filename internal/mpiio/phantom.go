@@ -1,11 +1,6 @@
 package mpiio
 
-import (
-	"harl/internal/device"
-	"harl/internal/obs"
-	"harl/internal/sim"
-	"harl/internal/trace"
-)
+import "harl/internal/device"
 
 // PhantomFile extends File with payload-free operations for
 // benchmark-scale workloads (see package pfs's phantom I/O). All three
@@ -29,90 +24,29 @@ func (f *PlainFile) ReadDiscard(rank int, off, size int64, done func(error)) {
 	f.handles[rank].ReadDiscard(off, size, done)
 }
 
-// WriteZeros implements PhantomFile, splitting at region boundaries.
-func (f *HARLFile) WriteZeros(rank int, off, size int64, done func(error)) {
-	spans := f.split(off, size)
-	if len(spans) == 0 {
-		f.engine().Schedule(0, func() { done(nil) })
-		return
-	}
-	tr, mpiSpan := f.beginMPI("mpi.write", rank, off, size, len(spans))
-	remaining := sim.NewErrCountdown(len(spans), func(err error) {
-		if tr != nil {
-			tr.End(mpiSpan, obs.T("status", opStatus(err)))
-		}
-		done(err)
-	})
-	for _, sp := range spans {
-		if f.mRegionWrite != nil {
-			f.mRegionWrite[sp.region].Add(sp.length)
-		}
-		f.mon.Observe(device.Write, sp.region, sp.local, sp.length)
-		f.handles[sp.region][rank].WriteZerosSpan(mpiSpan, sp.local, sp.length, func(err error) {
-			remaining.Done(err)
-		})
-	}
-}
-
-// ReadDiscard implements PhantomFile, splitting at region boundaries.
-func (f *HARLFile) ReadDiscard(rank int, off, size int64, done func(error)) {
-	spans := f.split(off, size)
-	if len(spans) == 0 {
-		f.engine().Schedule(0, func() { done(nil) })
-		return
-	}
-	tr, mpiSpan := f.beginMPI("mpi.read", rank, off, size, len(spans))
-	remaining := sim.NewErrCountdown(len(spans), func(err error) {
-		if tr != nil {
-			tr.End(mpiSpan, obs.T("status", opStatus(err)))
-		}
-		done(err)
-	})
-	for _, sp := range spans {
-		if f.mRegionRead != nil {
-			f.mRegionRead[sp.region].Add(sp.length)
-		}
-		f.mon.Observe(device.Read, sp.region, sp.local, sp.length)
-		f.handles[sp.region][rank].ReadDiscardSpan(mpiSpan, sp.local, sp.length, func(err error) {
-			remaining.Done(err)
-		})
-	}
-}
-
 // WriteZeros implements PhantomFile, recording the request like WriteAt.
 func (f *TracingFile) WriteZeros(rank int, off, size int64, done func(error)) {
-	inner, ok := f.inner.(PhantomFile)
-	if !ok {
-		panic("mpiio: traced file does not support phantom I/O")
-	}
 	start := f.engine.Now()
-	inner.WriteZeros(rank, off, size, func(err error) {
-		if size > 0 {
-			f.collector.Record(trace.Record{
-				PID: f.pid + rank, Rank: rank, FD: f.fd,
-				Op: device.Write, Offset: off, Size: size,
-				Start: start, End: f.engine.Now(),
-			})
-		}
+	f.phantom().WriteZeros(rank, off, size, func(err error) {
+		f.record(rank, device.Write, off, size, start)
 		done(err)
 	})
 }
 
 // ReadDiscard implements PhantomFile, recording the request like ReadAt.
 func (f *TracingFile) ReadDiscard(rank int, off, size int64, done func(error)) {
+	start := f.engine.Now()
+	f.phantom().ReadDiscard(rank, off, size, func(err error) {
+		f.record(rank, device.Read, off, size, start)
+		done(err)
+	})
+}
+
+// phantom returns the wrapped file's phantom I/O interface.
+func (f *TracingFile) phantom() PhantomFile {
 	inner, ok := f.inner.(PhantomFile)
 	if !ok {
 		panic("mpiio: traced file does not support phantom I/O")
 	}
-	start := f.engine.Now()
-	inner.ReadDiscard(rank, off, size, func(err error) {
-		if size > 0 {
-			f.collector.Record(trace.Record{
-				PID: f.pid + rank, Rank: rank, FD: f.fd,
-				Op: device.Read, Offset: off, Size: size,
-				Start: start, End: f.engine.Now(),
-			})
-		}
-		done(err)
-	})
+	return inner
 }

@@ -36,15 +36,8 @@ func (f *TracingFile) Inner() File { return f.inner }
 // WriteAt implements File, recording the request around the inner call.
 func (f *TracingFile) WriteAt(rank int, off int64, data []byte, done func(error)) {
 	start := f.engine.Now()
-	size := int64(len(data))
 	f.inner.WriteAt(rank, off, data, func(err error) {
-		if size > 0 {
-			f.collector.Record(trace.Record{
-				PID: f.pid + rank, Rank: rank, FD: f.fd,
-				Op: device.Write, Offset: off, Size: size,
-				Start: start, End: f.engine.Now(),
-			})
-		}
+		f.record(rank, device.Write, off, int64(len(data)), start)
 		done(err)
 	})
 }
@@ -53,13 +46,19 @@ func (f *TracingFile) WriteAt(rank int, off int64, data []byte, done func(error)
 func (f *TracingFile) ReadAt(rank int, off, size int64, done func([]byte, error)) {
 	start := f.engine.Now()
 	f.inner.ReadAt(rank, off, size, func(data []byte, err error) {
-		if size > 0 {
-			f.collector.Record(trace.Record{
-				PID: f.pid + rank, Rank: rank, FD: f.fd,
-				Op: device.Read, Offset: off, Size: size,
-				Start: start, End: f.engine.Now(),
-			})
-		}
+		f.record(rank, device.Read, off, size, start)
 		done(data, err)
 	})
+}
+
+// record collects one completed request that began at start; empty
+// requests move no data and are not traced.
+func (f *TracingFile) record(rank int, op device.Op, off, size int64, start sim.Time) {
+	if size > 0 {
+		f.collector.Record(trace.Record{
+			PID: f.pid + rank, Rank: rank, FD: f.fd,
+			Op: op, Offset: off, Size: size,
+			Start: start, End: f.engine.Now(),
+		})
+	}
 }

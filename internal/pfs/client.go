@@ -197,82 +197,96 @@ func errStatus(err error) string {
 	return "ok"
 }
 
-// WriteAt stores data at the logical offset, striping it across the data
-// servers; done fires when every server has acknowledged its sub-request,
-// or with the first fatal error once every sub-request has settled. The
-// EOF advances only on full success, so an acknowledged write is exactly
-// a committed write.
-func (f *File) WriteAt(data []byte, off int64, done func(error)) {
-	f.WriteAtSpan(0, data, off, done)
+// Request is one client I/O operation: Op on the logical byte range
+// [Off, Off+Size). For a write Data is the source and for a read the
+// destination, with len(Data) == Size either way. A nil Data is phantom
+// I/O: the same striping, network transfers and disk service, with no
+// payload stored or returned — benchmark-scale runs would otherwise
+// allocate their whole working set. Parent, when non-zero, is the span
+// the operation records under.
+type Request struct {
+	Op     device.Op
+	Off    int64
+	Size   int64
+	Data   []byte
+	Parent obs.SpanID
 }
 
-// WriteAtSpan is WriteAt under a parent span: the operation and all its
-// sub-requests record as children when tracing is on.
-func (f *File) WriteAtSpan(parent obs.SpanID, data []byte, off int64, done func(error)) {
-	c := f.client
-	size := int64(len(data))
-	if size == 0 {
-		c.fs.engine.Schedule(0, func() { done(nil) })
+// Do runs one request: the range is split over the layout and every
+// touched server gets one sub-request under the client's recovery
+// policy. done fires once every sub-request has settled, with the first
+// fatal error. A write advances the EOF only on full success, so an
+// acknowledged write is exactly a committed write; a read fills Data only
+// on success.
+func (f *File) Do(r Request, done func(error)) {
+	fs := f.client.fs
+	if r.Size == 0 {
+		fs.engine.Schedule(0, func() { done(nil) })
 		return
 	}
-	span, finish := f.beginOp("pfs.write", parent, off, size)
-	subs := f.meta.Layout.Map(off, size)
+	name := "pfs.read"
+	if r.Op == device.Write {
+		name = "pfs.write"
+	}
+	span, finish := f.beginOp(name, r.Parent, r.Off, r.Size)
+	subs := f.meta.Layout.Map(r.Off, r.Size)
+	req := &r
 	remaining := sim.NewErrCountdown(len(subs), func(err error) {
 		finish(err)
-		if err != nil {
-			done(err)
-			return
+		if err == nil && r.Op == device.Write {
+			if eof := r.Off + r.Size; eof > f.meta.Size {
+				f.meta.Size = eof
+			}
 		}
-		if eof := off + size; eof > f.meta.Size {
-			f.meta.Size = eof
-		}
-		done(nil)
+		done(err)
 	})
-	// Split the client buffer per sub-request in logical order. Map
-	// returns per-server ranges; recover each sub-request's slice of the
-	// logical buffer by walking the same stripe fragments.
-	bufs := f.splitBuffer(data, off)
+	// A payload write stages each sub-request's bytes, in server-local
+	// order, back to back in one buffer.
+	var staged []byte
+	if r.Op == device.Write && r.Data != nil {
+		staged = make([]byte, r.Size)
+	}
 	for _, sub := range subs {
-		f.issueSub(device.Write, sub, bufs[sub.Server], false, span, func(_ []byte, err error) {
-			remaining.Done(err)
-		})
+		var payload []byte
+		if staged != nil {
+			payload, staged = staged[:sub.Size], staged[sub.Size:]
+			f.copyFragments(req, sub, payload)
+		}
+		o := &subOp{f: f, r: req, sub: sub, payload: payload, parent: span, done: remaining.Done}
+		o.run()
 	}
 }
 
-// ReadAt fetches size bytes at the logical offset; done receives the
-// reassembled buffer once the last server replies, or the first fatal
-// error once every sub-request has settled.
+// WriteAt stores data at the logical offset.
+func (f *File) WriteAt(data []byte, off int64, done func(error)) {
+	f.Do(Request{Op: device.Write, Off: off, Size: int64(len(data)), Data: data}, done)
+}
+
+// ReadAt fetches size bytes at the logical offset; done receives them,
+// or the first fatal error.
 func (f *File) ReadAt(off, size int64, done func([]byte, error)) {
-	f.ReadAtSpan(0, off, size, done)
-}
-
-// ReadAtSpan is ReadAt under a parent span.
-func (f *File) ReadAtSpan(parent obs.SpanID, off, size int64, done func([]byte, error)) {
-	c := f.client
-	if size == 0 {
-		c.fs.engine.Schedule(0, func() { done(nil, nil) })
-		return
+	var out []byte
+	if size > 0 {
+		out = make([]byte, size)
 	}
-	span, finish := f.beginOp("pfs.read", parent, off, size)
-	subs := f.meta.Layout.Map(off, size)
-	out := make([]byte, size)
-	remaining := sim.NewErrCountdown(len(subs), func(err error) {
-		finish(err)
+	f.Do(Request{Op: device.Read, Off: off, Size: size, Data: out}, func(err error) {
 		if err != nil {
 			done(nil, err)
 			return
 		}
 		done(out, nil)
 	})
-	for _, sub := range subs {
-		sub := sub
-		f.issueSub(device.Read, sub, nil, false, span, func(data []byte, err error) {
-			if err == nil {
-				f.scatterIntoBuffer(out, off, sub.Server, data)
-			}
-			remaining.Done(err)
-		})
-	}
+}
+
+// WriteZeros is phantom WriteAt: a size-long all-zero write that
+// allocates and stores nothing.
+func (f *File) WriteZeros(off, size int64, done func(error)) {
+	f.Do(Request{Op: device.Write, Off: off, Size: size}, done)
+}
+
+// ReadDiscard is phantom ReadAt: the read's timing without its data.
+func (f *File) ReadDiscard(off, size int64, done func(error)) {
+	f.Do(Request{Op: device.Read, Off: off, Size: size}, done)
 }
 
 // beginOp opens a client-operation span and returns a completion hook
@@ -305,44 +319,20 @@ func (f *File) beginOp(name string, parent obs.SpanID, off, size int64) (obs.Spa
 	}
 }
 
-// splitBuffer carves the logical write buffer into per-server payloads in
-// server-local order, mirroring Striping.Map's fragment walk.
-func (f *File) splitBuffer(data []byte, off int64) map[int][]byte {
-	st := f.meta.Layout
-	bufs := make(map[int][]byte)
-	pos := off
-	end := off + int64(len(data))
-	for pos < end {
-		server, local := st.Locate(pos)
-		stripe := st.StripeOf(server)
-		frag := stripe - local%stripe
-		if rem := end - pos; frag > rem {
-			frag = rem
+// copyFragments moves one sub-request's bytes between the request's
+// logical buffer and buf, the sub-request's contiguous server-local
+// bytes: into buf for a write, out of it for a read.
+func (f *File) copyFragments(r *Request, sub layout.SubRequest, buf []byte) {
+	layout.Fragments(f.meta.Layout, r.Off, r.Size, func(pos int64, server int, local, n int64) {
+		if server != sub.Server {
+			return
 		}
-		bufs[server] = append(bufs[server], data[pos-off:pos-off+frag]...)
-		pos += frag
-	}
-	return bufs
-}
-
-// scatterIntoBuffer places one server's contiguous reply back into the
-// logical read buffer.
-func (f *File) scatterIntoBuffer(out []byte, off int64, server int, data []byte) {
-	st := f.meta.Layout
-	pos := off
-	end := off + int64(len(out))
-	var consumed int64
-	for pos < end {
-		srv, local := st.Locate(pos)
-		stripe := st.StripeOf(srv)
-		frag := stripe - local%stripe
-		if rem := end - pos; frag > rem {
-			frag = rem
+		logical := r.Data[pos-r.Off : pos-r.Off+n]
+		part := buf[local-sub.Local : local-sub.Local+n]
+		if r.Op == device.Write {
+			copy(part, logical)
+		} else {
+			copy(logical, part)
 		}
-		if srv == server {
-			copy(out[pos-off:pos-off+frag], data[consumed:consumed+frag])
-			consumed += frag
-		}
-		pos += frag
-	}
+	})
 }

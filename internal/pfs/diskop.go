@@ -10,7 +10,6 @@ import (
 // completion. Records are pooled on the FS free list and dispatched
 // through the package-level diskOpDone, so the per-sub-request hot path
 // — the dominant allocation site in large runs — allocates nothing.
-// Exactly one of done (payload ops) and pdone (phantom ops) is set.
 type diskOp struct {
 	next   *diskOp
 	s      *Server
@@ -22,8 +21,7 @@ type diskOp struct {
 	parent obs.SpanID
 	submit sim.Time
 	epoch  uint64
-	done   func(data []byte, err error)
-	pdone  func(err error)
+	done   func(err error)
 }
 
 // diskOpPoolCap bounds the FS-wide diskOp free list; completions beyond
@@ -61,31 +59,22 @@ func (fs *FS) recycleOp(o *diskOp) {
 func diskOpDone(arg any, start, end sim.Time) {
 	o := arg.(*diskOp)
 	s, op, fileID, local := o.s, o.op, o.fileID, o.local
-	data, size, epoch := o.data, o.size, o.epoch
-	done, pdone := o.done, o.pdone
-	s.observeDisk(op, o.parent, o.submit, start, end, size)
+	data, epoch, done := o.data, o.epoch, o.done
+	s.observeDisk(op, o.parent, o.submit, start, end, o.size)
 	s.fs.recycleOp(o)
 	err, ok := s.deliver(epoch)
 	if !ok {
 		return
 	}
-	if pdone != nil {
-		pdone(err)
-		return
+	if err == nil && data != nil {
+		obj := s.object(fileID)
+		if op == device.Write {
+			before := obj.Bytes()
+			obj.WriteAt(data, local)
+			s.stored += obj.Bytes() - before
+		} else {
+			obj.ReadAt(data, local)
+		}
 	}
-	if err != nil {
-		done(nil, err)
-		return
-	}
-	obj := s.object(fileID)
-	if op == device.Write {
-		before := obj.Bytes()
-		obj.WriteAt(data, local)
-		s.stored += obj.Bytes() - before
-		done(nil, nil)
-		return
-	}
-	buf := make([]byte, size)
-	obj.ReadAt(buf, local)
-	done(buf, nil)
+	done(err)
 }

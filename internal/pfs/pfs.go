@@ -109,12 +109,14 @@ func (s *Server) object(fileID uint64) *device.Store {
 }
 
 // serve runs one sub-request through the disk queue and calls done when
-// the disk finishes. Data movement against the object store happens at
-// completion time. A crashed server swallows the request — done never
-// fires, and clients recover through their deadline timers; a flaky
-// server may reply with a transient error, in which case a write is NOT
-// committed (so acknowledged bytes are exactly the committed bytes).
-func (s *Server) serve(op device.Op, fileID uint64, local int64, data []byte, size int64, parent obs.SpanID, done func(data []byte, err error)) {
+// the disk finishes. data is a write's source or a read's destination; a
+// nil data is phantom I/O that moves disk time but never touches the
+// object store. Data movement against the store happens at completion
+// time. A crashed server swallows the request — done never fires, and
+// clients recover through their deadline timers; a flaky server may
+// reply with a transient error, in which case a write is NOT committed
+// (so acknowledged bytes are exactly the committed bytes).
+func (s *Server) serve(op device.Op, fileID uint64, local int64, data []byte, size int64, parent obs.SpanID, done func(err error)) {
 	epoch, ok := s.admit()
 	if !ok {
 		return

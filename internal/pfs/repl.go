@@ -156,7 +156,7 @@ type replPending struct {
 	servingID int
 	epoch     uint64
 	done      bool
-	reply     func([]byte, error)
+	reply     func(error)
 }
 
 // CreateReplicated registers a file whose regions are replicated per the
@@ -229,118 +229,25 @@ func (fs *FS) ReplStatus(name string) []repl.Status {
 	return out
 }
 
-// runRepl is subOp.run for replicated files: the wire exchange targets
-// the slot's current serving replica (wherever the view moved it) and the
-// server side runs the replication protocol instead of a plain disk op.
-// Deadline, retry, backoff and hedging machinery are shared with the
-// unreplicated path through subOp.outcome.
-func (o *subOp) runRepl(rs *replState) {
-	c := o.f.client
-	p := c.Policy
-	fs := c.fs
-	slot := o.sub.Server
-	rg := rs.groups[slot]
-
-	sid, ok := rg.g.Serving()
-	if !ok {
-		// No eligible replica: resolve as a retryable failure after a
-		// fixed pause, so even zero-backoff policies let the clock reach
-		// the view change or catch-up that restores service. The bounce
-		// still records an attempt span — a group blackout must be
-		// visible to the availability SLO and the flight recorder, not
-		// just to the retry counters.
-		fs.Repl.Unavailable++
-		primary := fs.servers[slot]
-		var bounce obs.SpanID
-		if tr := fs.tracer; tr != nil {
-			bounce = tr.Begin(c.name, "attempt", o.parent,
-				obs.T("op", o.op.String()), obs.T("server", primary.Name),
-				obs.TInt("attempt", int64(o.attempt)), obs.TInt("bytes", o.sub.Size),
-				obs.TInt("group", int64(slot)), obs.TInt("view", int64(rg.g.View())))
-		}
-		fs.engine.Schedule(replUnavailDelay, func() {
-			err := fmt.Errorf("%w: slot %d view %d", ErrUnavailable, slot, rg.g.View())
-			fs.tracer.End(bounce, obs.T("outcome", attemptOutcome(false, err)))
-			o.outcome(primary, nil, err)
-		})
-		return
-	}
-	server := fs.servers[sid]
-
-	tr := fs.tracer
+// bounce resolves an attempt on a replicated slot with no eligible
+// serving replica as a retryable failure after a fixed pause, so even
+// zero-backoff policies let the clock reach the view change or catch-up
+// that restores service. The bounce still records an attempt span — a
+// group blackout must be visible to the availability SLO and the flight
+// recorder, not just to the retry counters.
+func (o *subOp) bounce(rg *replGroup) {
+	fs := o.f.client.fs
+	fs.Repl.Unavailable++
+	primary := fs.servers[o.sub.Server]
 	var span obs.SpanID
-	if tr != nil {
-		span = tr.Begin(c.name, "attempt", o.parent,
-			obs.T("op", o.op.String()), obs.T("server", server.Name),
-			obs.TInt("attempt", int64(o.attempt)), obs.TInt("bytes", o.sub.Size),
-			obs.TInt("group", int64(slot)), obs.TInt("view", int64(rg.g.View())))
+	if fs.tracer != nil {
+		span = o.beginAttempt(primary, rg)
 	}
-
-	resolved := false
-	resolve := func(hedge bool, data []byte, err error) {
-		if resolved || o.settled {
-			return
-		}
-		resolved = true
-		if hedge {
-			fs.Faults.HedgeWins++
-		}
-		if tr != nil {
-			tr.End(span, obs.T("outcome", attemptOutcome(hedge, err)))
-		}
-		o.outcome(server, data, err)
-	}
-
-	exchange := func(hedge bool, target *Server) {
-		var outBytes, replyBytes int64
-		if o.op == device.Write {
-			outBytes = o.sub.Size
-		} else {
-			replyBytes = o.sub.Size
-		}
-		fs.net.TransferSpan(span, c.node, target.node, outBytes, func(sim.Time) {
-			handle := func(data []byte, err error) {
-				back := replyBytes
-				if err != nil {
-					back = 0 // error replies carry no payload
-				}
-				fs.net.TransferSpan(span, target.node, c.node, back, func(sim.Time) {
-					resolve(hedge, data, err)
-				})
-			}
-			if o.op == device.Write {
-				fs.beginReplWrite(o.f.meta, slot, target, o.sub.Local, o.payload, o.sub.Size, span, handle)
-			} else {
-				fs.replRead(o.f.meta, slot, target, o.sub.Local, o.sub.Size, o.phantom, span, handle)
-			}
-		})
-	}
-
-	exchange(false, server)
-	if o.op == device.Read && p.HedgeAfter > 0 {
-		fs.engine.Schedule(p.HedgeAfter, func() {
-			if resolved || o.settled {
-				return
-			}
-			fs.Faults.Hedges++
-			// Replication gives the hedge somewhere better to go than the
-			// same straggling server: an eligible backup holds every acked
-			// byte and can serve the read itself.
-			target := server
-			if alt, altOK := rg.g.AlternateFor(server.ID); altOK {
-				target = fs.servers[alt]
-			}
-			if tr != nil {
-				tr.Instant(c.name, "hedge", span, obs.T("server", target.Name))
-			}
-			exchange(true, target)
-		})
-	}
-	if p.Timeout > 0 {
-		fs.engine.Schedule(p.Timeout, func() {
-			resolve(false, nil, fmt.Errorf("%w: server %s", ErrTimeout, server.Name))
-		})
-	}
+	fs.engine.Schedule(replUnavailDelay, func() {
+		err := fmt.Errorf("%w: slot %d view %d", ErrUnavailable, o.sub.Server, rg.g.View())
+		fs.tracer.End(span, obs.T("outcome", attemptOutcome(false, err)))
+		o.outcome(primary, nil, err)
+	})
 }
 
 // beginReplWrite runs one write through a slot's replica group, entered
@@ -348,7 +255,7 @@ func (o *subOp) runRepl(rs *replState) {
 // committed locally, and forwarded to the live chained backups; reply
 // fires when the commit rule is satisfied (via checkPending) or the write
 // fails.
-func (fs *FS) beginReplWrite(meta *FileMeta, slot int, s *Server, local int64, data []byte, size int64, span obs.SpanID, reply func([]byte, error)) {
+func (fs *FS) beginReplWrite(meta *FileMeta, slot int, s *Server, local int64, data []byte, size int64, span obs.SpanID, reply func(error)) {
 	if s.down {
 		// A crashed server swallows the request, like admit().
 		fs.Faults.Dropped++
@@ -359,7 +266,7 @@ func (fs *FS) beginReplWrite(meta *FileMeta, slot int, s *Server, local int64, d
 	if !ok || sid != s.ID {
 		// The view moved between client dispatch and arrival; bounce the
 		// client back to retry against the new serving replica.
-		reply(nil, fmt.Errorf("%w: slot %d not served by %s", ErrUnavailable, slot, s.Name))
+		reply(fmt.Errorf("%w: slot %d not served by %s", ErrUnavailable, slot, s.Name))
 		return
 	}
 	overwrite := rg.g.IsOverwrite(local, size)
@@ -409,7 +316,7 @@ func (fs *FS) replicaWrite(meta *FileMeta, rg *replGroup, member *Server, rec re
 			obs.TInt("view", int64(rg.g.View())), obs.TInt("seq", int64(rec.Seq)),
 			obs.TInt("bytes", rec.Size))
 	}
-	member.servePhantom(device.Write, rec.Local, rec.Size, wspan, func(err error) {
+	member.serve(device.Write, meta.ID, rec.Local, nil, rec.Size, wspan, func(err error) {
 		if err == nil {
 			err = fs.replApply(meta, rg, member, rec)
 		}
@@ -470,32 +377,30 @@ func (fs *FS) replCommit(meta *FileMeta, rg *replGroup, server int, seq uint64, 
 	fs.kickLagging(meta, rg)
 }
 
-// replRead serves a read from one replica. Only an eligible replica —
-// alive, with every group-acked record committed — may reply; anything
-// else bounces the client to retry, because a stale store could return
-// bytes older than an acknowledged write.
-func (fs *FS) replRead(meta *FileMeta, slot int, s *Server, local, size int64, phantom bool, span obs.SpanID, reply func([]byte, error)) {
+// replRead serves a read from one replica into data (nil for a phantom
+// read). Only an eligible replica — alive, with every group-acked record
+// committed — may reply; anything else bounces the client to retry,
+// because a stale store could return bytes older than an acknowledged
+// write.
+func (fs *FS) replRead(meta *FileMeta, slot int, s *Server, local int64, data []byte, size int64, span obs.SpanID, reply func(error)) {
 	rg := meta.Repl.groups[slot]
-	s.servePhantom(device.Read, local, size, span, func(err error) {
+	s.serve(device.Read, meta.ID, local, nil, size, span, func(err error) {
 		if err != nil {
-			reply(nil, err)
+			reply(err)
 			return
 		}
 		g := rg.g
 		if !g.Alive(s.ID) || g.MemberCP(s.ID) < g.CP() {
-			reply(nil, fmt.Errorf("%w: replica %s behind view %d", ErrUnavailable, s.Name, g.View()))
+			reply(fmt.Errorf("%w: replica %s behind view %d", ErrUnavailable, s.Name, g.View()))
 			return
 		}
 		if s.ID != slot {
 			fs.Repl.BackupReads++
 		}
-		if phantom {
-			reply(nil, nil)
-			return
+		if data != nil {
+			s.storeFor(meta.ID, slot).ReadAt(data, local)
 		}
-		buf := make([]byte, size)
-		s.storeFor(meta.ID, slot).ReadAt(buf, local)
-		reply(buf, nil)
+		reply(nil)
 	})
 }
 
@@ -545,7 +450,7 @@ func (fs *FS) checkPending(meta *FileMeta, rg *replGroup, p *replPending) {
 	p.done = true
 	removePending(rg, p)
 	g.Ack(p.seq)
-	fs.replyPending(p, nil, nil)
+	fs.replyPending(p, nil)
 	// A quorum ack can advance the group's ack point past the serving
 	// replica's own commit point (its local commit erred while the
 	// majority landed); it is then ineligible and the group re-elects.
@@ -572,19 +477,19 @@ func (fs *FS) failPending(rg *replGroup, server int, seq uint64, err error) {
 	}
 	p.done = true
 	removePending(rg, p)
-	fs.replyPending(p, nil, err)
+	fs.replyPending(p, err)
 }
 
 // replyPending delivers a pending's reply through the epoch gate: if the
 // serving incarnation that accepted the write is gone, nobody may speak
 // for it — the client's deadline takes over.
-func (fs *FS) replyPending(p *replPending, data []byte, err error) {
+func (fs *FS) replyPending(p *replPending, err error) {
 	s := fs.servers[p.servingID]
 	if s.down || s.epoch != p.epoch {
 		fs.Faults.Dropped++
 		return
 	}
-	p.reply(data, err)
+	p.reply(err)
 }
 
 // kickLagging starts catch-up for every live member missing bytes the
@@ -752,7 +657,7 @@ func (fs *FS) catchStep(meta *FileMeta, rg *replGroup, server int, token int) {
 			obs.TInt("seq", int64(rec.Seq)), obs.TInt("lag", int64(g.Lag(server))))
 	}
 	fs.net.TransferSpan(cspan, source.node, member.node, rec.Size, func(sim.Time) {
-		member.servePhantom(device.Write, rec.Local, rec.Size, cspan, func(err error) {
+		member.serve(device.Write, meta.ID, rec.Local, nil, rec.Size, cspan, func(err error) {
 			if cs.token != token || !cs.active {
 				fs.tracer.End(cspan, obs.T("status", "superseded"))
 				return
@@ -834,7 +739,7 @@ func (fs *FS) catchResync(meta *FileMeta, rg *replGroup, server, src, token int)
 			obs.TInt("bytes", size))
 	}
 	fs.net.TransferSpan(rspan, source.node, member.node, size, func(sim.Time) {
-		member.servePhantom(device.Write, 0, size, rspan, func(err error) {
+		member.serve(device.Write, meta.ID, 0, nil, size, rspan, func(err error) {
 			if cs.token != token || !cs.active {
 				fs.tracer.End(rspan, obs.T("status", "superseded"))
 				return

@@ -53,28 +53,19 @@ type Policy struct {
 }
 
 // subOp drives one striped sub-request through deadline, retry, backoff
-// and hedging. done fires exactly once per sub-request, with the data
-// (reads) or the first fatal error.
+// and hedging. done fires exactly once per sub-request, with nil or the
+// first fatal error; a successful payload read has by then copied its
+// bytes into the request's buffer.
 type subOp struct {
 	f       *File
-	op      device.Op
+	r       *Request
 	sub     layout.SubRequest
-	payload []byte // write payload; nil for reads and phantom ops
-	phantom bool
+	payload []byte     // a payload write's bytes for this sub-request
 	parent  obs.SpanID // enclosing operation's span; 0 when untraced
-	done    func([]byte, error)
+	done    func(error)
 
 	attempt int
 	settled bool
-}
-
-// issueSub launches one sub-request under the client's policy. With the
-// zero policy this is exactly the legacy wire protocol: request out,
-// disk service, reply back, done. parent is the enclosing operation's
-// span; each attempt records a child span when tracing is on.
-func (f *File) issueSub(op device.Op, sub layout.SubRequest, payload []byte, phantom bool, parent obs.SpanID, done func([]byte, error)) {
-	o := &subOp{f: f, op: op, sub: sub, payload: payload, phantom: phantom, parent: parent, done: done}
-	o.run()
 }
 
 func (o *subOp) settle(data []byte, err error) {
@@ -82,101 +73,154 @@ func (o *subOp) settle(data []byte, err error) {
 		return
 	}
 	o.settled = true
-	o.done(data, err)
+	if err == nil && o.r.Op == device.Read && o.r.Data != nil {
+		o.f.copyFragments(o.r, o.sub, data)
+	}
+	o.done(err)
 }
 
-// run launches one attempt: the primary wire exchange, an optional hedge
-// for reads, and a deadline timer. The first of the three to produce an
-// outcome resolves the attempt; the losers find resolved set and fall
-// silent, so late completions never touch freed state.
+// attempt is one try of a sub-request against its serving server: the
+// wire exchange, an optional hedge for reads, and a deadline timer. The
+// first of the three to produce an outcome resolves the attempt; the
+// losers find resolved set and fall silent, so late completions never
+// touch freed state.
+type attempt struct {
+	o        *subOp
+	server   *Server
+	rg       *replGroup // the slot's replica group; nil for plain files
+	span     obs.SpanID
+	start    sim.Time
+	resolved bool
+}
+
+// run launches one attempt. With the zero policy this is exactly the
+// plain wire protocol: request out, disk service, reply back, done.
+//
+// A replicated file's attempt targets the slot's current serving replica
+// (wherever the view moved it), runs the replication protocol on the
+// server side instead of a plain disk op, and hedges to an eligible
+// backup rather than the same server.
 func (o *subOp) run() {
+	fs := o.f.client.fs
+	p := o.f.client.Policy
+	a := &attempt{o: o, server: fs.servers[o.sub.Server]}
 	if rs := o.f.meta.Repl; rs != nil {
-		o.runRepl(rs)
-		return
-	}
-	c := o.f.client
-	p := c.Policy
-	fs := c.fs
-	server := fs.servers[o.sub.Server]
-	attemptStart := fs.engine.Now()
-
-	tr := fs.tracer
-	var span obs.SpanID
-	if tr != nil {
-		span = tr.Begin(c.name, "attempt", o.parent,
-			obs.T("op", o.op.String()), obs.T("server", server.Name),
-			obs.TInt("attempt", int64(o.attempt)), obs.TInt("bytes", o.sub.Size))
-	}
-
-	resolved := false
-	resolve := func(hedge bool, data []byte, err error) {
-		if resolved || o.settled {
+		a.rg = rs.groups[o.sub.Server]
+		sid, ok := a.rg.g.Serving()
+		if !ok {
+			o.bounce(a.rg)
 			return
 		}
-		resolved = true
-		if hedge {
-			fs.Faults.HedgeWins++
-		}
-		if tr != nil {
-			tr.End(span, obs.T("outcome", attemptOutcome(hedge, err)))
-		}
-		if err == nil {
-			// Successful sub-request: attribute client-observed latency and
-			// bytes to the handle's layout region for the skew heatmap.
-			fs.sketches.ObserveRegion(o.f.region, o.sub.Server,
-				o.sub.Size, fs.engine.Now().Sub(attemptStart))
-		}
-		o.outcome(server, data, err)
+		a.server = fs.servers[sid]
 	}
-
-	// exchange performs one full wire round trip against the server.
-	// A request the server drops simply never calls back; the deadline
-	// timer is then the only way this attempt resolves.
-	exchange := func(hedge bool) {
-		var outBytes, replyBytes int64
-		if o.op == device.Write {
-			outBytes = o.sub.Size
-		} else {
-			replyBytes = o.sub.Size
-		}
-		fs.net.TransferSpan(span, c.node, server.node, outBytes, func(sim.Time) {
-			handle := func(data []byte, err error) {
-				back := replyBytes
-				if err != nil {
-					back = 0 // error replies carry no payload
-				}
-				fs.net.TransferSpan(span, server.node, c.node, back, func(sim.Time) {
-					resolve(hedge, data, err)
-				})
-			}
-			if o.phantom {
-				server.servePhantom(o.op, o.sub.Local, o.sub.Size, span, func(err error) {
-					handle(nil, err)
-				})
-			} else {
-				server.serve(o.op, o.f.meta.ID, o.sub.Local, o.payload, o.sub.Size, span, handle)
-			}
-		})
+	a.start = fs.engine.Now()
+	if fs.tracer != nil {
+		a.span = o.beginAttempt(a.server, a.rg)
 	}
-
-	exchange(false)
-	if o.op == device.Read && p.HedgeAfter > 0 {
-		fs.engine.Schedule(p.HedgeAfter, func() {
-			if resolved || o.settled {
-				return
-			}
-			fs.Faults.Hedges++
-			if tr != nil {
-				tr.Instant(c.name, "hedge", span, obs.T("server", server.Name))
-			}
-			exchange(true)
-		})
+	a.exchange(false, a.server)
+	if o.r.Op == device.Read && p.HedgeAfter > 0 {
+		fs.engine.Schedule(p.HedgeAfter, a.hedge)
 	}
 	if p.Timeout > 0 {
 		fs.engine.Schedule(p.Timeout, func() {
-			resolve(false, nil, fmt.Errorf("%w: server %s", ErrTimeout, server.Name))
+			a.resolve(false, nil, fmt.Errorf("%w: server %s", ErrTimeout, a.server.Name))
 		})
 	}
+}
+
+// exchange performs one full wire round trip against target. A request
+// the server drops simply never calls back; the deadline timer is then
+// the only way the attempt resolves. Each payload read gets its own
+// buffer, so a losing exchange never writes the winner's bytes.
+func (a *attempt) exchange(hedge bool, target *Server) {
+	o := a.o
+	c := o.f.client
+	var outBytes, replyBytes int64
+	data := o.payload
+	if o.r.Op == device.Write {
+		outBytes = o.sub.Size
+	} else {
+		replyBytes = o.sub.Size
+		if o.r.Data != nil {
+			data = make([]byte, o.sub.Size)
+		}
+	}
+	c.fs.net.TransferSpan(a.span, c.node, target.node, outBytes, func(sim.Time) {
+		handle := func(err error) {
+			back := replyBytes
+			if err != nil {
+				back = 0 // error replies carry no payload
+			}
+			c.fs.net.TransferSpan(a.span, target.node, c.node, back, func(sim.Time) {
+				a.resolve(hedge, data, err)
+			})
+		}
+		switch {
+		case a.rg == nil:
+			target.serve(o.r.Op, o.f.meta.ID, o.sub.Local, data, o.sub.Size, a.span, handle)
+		case o.r.Op == device.Write:
+			c.fs.beginReplWrite(o.f.meta, o.sub.Server, target, o.sub.Local, data, o.sub.Size, a.span, handle)
+		default:
+			c.fs.replRead(o.f.meta, o.sub.Server, target, o.sub.Local, data, o.sub.Size, a.span, handle)
+		}
+	})
+}
+
+// hedge re-issues a still-unresolved read. Replication gives the hedge
+// somewhere better to go than the same straggling server: an eligible
+// backup holds every acked byte and can serve the read itself.
+func (a *attempt) hedge() {
+	if a.resolved || a.o.settled {
+		return
+	}
+	c := a.o.f.client
+	c.fs.Faults.Hedges++
+	target := a.server
+	if a.rg != nil {
+		if alt, ok := a.rg.g.AlternateFor(target.ID); ok {
+			target = c.fs.servers[alt]
+		}
+	}
+	if tr := c.fs.tracer; tr != nil {
+		tr.Instant(c.name, "hedge", a.span, obs.T("server", target.Name))
+	}
+	a.exchange(true, target)
+}
+
+// resolve settles the attempt with the first outcome to arrive.
+func (a *attempt) resolve(hedge bool, data []byte, err error) {
+	o := a.o
+	if a.resolved || o.settled {
+		return
+	}
+	a.resolved = true
+	fs := o.f.client.fs
+	if hedge {
+		fs.Faults.HedgeWins++
+	}
+	if tr := fs.tracer; tr != nil {
+		tr.End(a.span, obs.T("outcome", attemptOutcome(hedge, err)))
+	}
+	if err == nil && a.rg == nil {
+		// Successful sub-request: attribute client-observed latency and
+		// bytes to the handle's layout region for the skew heatmap.
+		fs.sketches.ObserveRegion(o.f.region, o.sub.Server,
+			o.sub.Size, fs.engine.Now().Sub(a.start))
+	}
+	o.outcome(a.server, data, err)
+}
+
+// beginAttempt opens an attempt span on the client's track; attempts on
+// replicated files also carry their group's coordinates.
+func (o *subOp) beginAttempt(server *Server, rg *replGroup) obs.SpanID {
+	tags := []obs.Tag{
+		obs.T("op", o.r.Op.String()), obs.T("server", server.Name),
+		obs.TInt("attempt", int64(o.attempt)), obs.TInt("bytes", o.sub.Size),
+	}
+	if rg != nil {
+		tags = append(tags, obs.TInt("group", int64(rg.g.Slot())), obs.TInt("view", int64(rg.g.View())))
+	}
+	return o.f.client.fs.tracer.Begin(o.f.client.name, "attempt", o.parent, tags...)
 }
 
 // outcome handles one attempt's result: success clears Suspect, a
