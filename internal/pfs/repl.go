@@ -177,7 +177,7 @@ func (c *Client) CreateReplicated(name string, lo layout.Mapper, spec repl.Spec,
 			done(nil, err)
 			return
 		}
-		done(&File{client: c, meta: meta}, nil)
+		done(&File{client: c, meta: meta, region: -1}, nil)
 	})
 }
 

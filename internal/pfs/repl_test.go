@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"harl/internal/layout"
+	"harl/internal/obs"
 	"harl/internal/repl"
 	"harl/internal/sim"
 )
@@ -749,5 +750,42 @@ func TestReplResyncAfterHardPrune(t *testing.T) {
 	fs.servers[backup].storeFor(meta.ID, 0).ReadAt(got, 0)
 	if !bytes.Equal(got, want) {
 		t.Fatal("resynced image diverged from the serving replica")
+	}
+}
+
+// TestReplHeatmapMatchesUnreplicated is the skew-heatmap regression: a
+// replicated file's sub-requests are accounted to their serving member
+// exactly like a plain file's, so a fault-free write records the same
+// region × server bytes at r=1 and r=2.
+func TestReplHeatmapMatchesUnreplicated(t *testing.T) {
+	heatmap := func(r int) *obs.Heatmap {
+		e, fs := testbed(t)
+		ss := obs.NewSketchSet(e, obs.SketchConfig{Window: 10 * sim.Millisecond})
+		fs.AttachSketches(ss)
+		f := mustCreateRepl(t, e, fs.NewClient("c0"), "data", layout.Fixed(6, 2, 64<<10), r)
+		f.SetRegion(0)
+		e.Schedule(0, func() {
+			f.WriteAt(fill(23, 1<<20), 0, func(err error) {
+				if err != nil {
+					t.Errorf("r=%d write: %v", r, err)
+				}
+			})
+		})
+		e.Run()
+		ss.Flush()
+		h := ss.Heatmap()
+		if h == nil {
+			t.Fatalf("r=%d: empty heatmap", r)
+		}
+		return h
+	}
+	plain, replicated := heatmap(1), heatmap(2)
+	if plain.TotalBytes() != 1<<20 || replicated.TotalBytes() != plain.TotalBytes() {
+		t.Fatalf("heatmap bytes r=1 %d, r=2 %d, want %d", plain.TotalBytes(), replicated.TotalBytes(), 1<<20)
+	}
+	for i := range plain.Cells {
+		if a, b := plain.ServerBytes(i), replicated.ServerBytes(i); a != b {
+			t.Errorf("server %d: r=1 %d bytes, r=2 %d", i, a, b)
+		}
 	}
 }

@@ -201,10 +201,11 @@ func (a *attempt) resolve(hedge bool, data []byte, err error) {
 	if tr := fs.tracer; tr != nil {
 		tr.End(a.span, obs.T("outcome", attemptOutcome(hedge, err)))
 	}
-	if err == nil && a.rg == nil {
+	if err == nil {
 		// Successful sub-request: attribute client-observed latency and
-		// bytes to the handle's layout region for the skew heatmap.
-		fs.sketches.ObserveRegion(o.f.region, o.sub.Server,
+		// bytes to the handle's layout region and the attempt's serving
+		// server for the skew heatmap.
+		fs.sketches.ObserveRegion(o.f.region, a.server.ID,
 			o.sub.Size, fs.engine.Now().Sub(a.start))
 	}
 	o.outcome(a.server, data, err)
