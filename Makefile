@@ -9,7 +9,7 @@ CHAOS_SEED ?= 1
 # and auto-discovers the newest committed BENCH_PR<N>.json instead.
 BENCH_FILE ?= BENCH_PR10.json
 
-.PHONY: verify build test race bench vet chaos trace monitor benchcheck enginediff repl slo doctor
+.PHONY: verify build test race bench vet chaos trace monitor benchcheck enginediff repl slo doctor benchmod
 
 # verify is the tier-1 gate: everything must pass before a commit lands.
 # benchcheck is advisory (non-fatal): it flags benchmark drift but a
@@ -26,6 +26,7 @@ verify:
 	$(MAKE) enginediff
 	$(MAKE) slo
 	$(MAKE) doctor
+	$(MAKE) benchmod
 	@$(MAKE) benchcheck || echo "warning: benchmark drift (non-fatal); refresh $(BENCH_FILE) with 'make bench' if intended"
 
 # monitor runs the online-monitor suite under the race detector plus the
@@ -60,6 +61,12 @@ slo:
 doctor:
 	$(GO) test -race ./internal/diagnose ./internal/obs
 	$(GO) test -race -run 'TestDoctor|TestSketchAttached|TestFigDoctor|TestSketchFeedsFromServePath|TestQueueGaugesQuiesce' ./internal/experiments ./internal/pfs ./cmd/harlctl
+
+# benchmod vets and tests the benchmark harness. perfbench is its own Go
+# module, so the root ./... patterns never compile it; without this step
+# a pfs or mpiio API change could break the benchmark unnoticed.
+benchmod:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # benchcheck compares fresh measurements against the newest committed
 # snapshot (benchguard auto-discovers BENCH_PR<N>.json).

@@ -90,7 +90,7 @@ func (w *World) CreateHARL(name string, rst *harl.RST, done func(*HARLFile, erro
 	regions := make([]regionFile, len(rst.Entries))
 	for i, e := range rst.Entries {
 		st := layout.Striping{M: hCount, N: sCount, H: e.H, S: e.S}
-		regions[i] = regionFile{regionBound{e.Offset, e.End}, r2f.File(i), st, repl.Spec{}}
+		regions[i] = regionFile{bound: regionBound{Offset: e.Offset, End: e.End}, file: r2f.File(i), layout: st}
 		if e.R > 1 {
 			// A replicated region places tier-affine replica groups per
 			// slot, rotated by region index so consecutive regions spread
@@ -333,8 +333,11 @@ func (w *World) CreateHARLTiered(name string, trst *harl.TieredRST, done func(*H
 	}
 	regions := make([]regionFile, len(trst.Entries))
 	for i, e := range trst.Entries {
-		lo := layout.Tiered{Counts: trst.Counts, Stripes: e.Stripes}
-		regions[i] = regionFile{regionBound{e.Offset, e.End}, fmt.Sprintf("%s.r%d", name, i), lo, repl.Spec{}}
+		regions[i] = regionFile{
+			bound:  regionBound{Offset: e.Offset, End: e.End},
+			file:   fmt.Sprintf("%s.r%d", name, i),
+			layout: layout.Tiered{Counts: trst.Counts, Stripes: e.Stripes},
+		}
 	}
 	w.createRegions(&HARLFile{name: name}, regions, done)
 }

@@ -3,6 +3,7 @@ package mpiio
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"harl/internal/cluster"
@@ -214,6 +215,45 @@ func TestTracingFileRecords(t *testing.T) {
 	}
 	if tf.Name() != "f" || tf.Inner() == nil {
 		t.Fatal("accessors broken")
+	}
+}
+
+// TestTracingHARLPhantomMatchesPayload runs one request sequence over a
+// multi-region HARL file, once with payload and once phantom, under the
+// tracing layer: the recorded traces, timestamps included, must match.
+func TestTracingHARLPhantomMatchesPayload(t *testing.T) {
+	record := func(phantom bool) []trace.Record {
+		_, w := world62(t, 4)
+		col := trace.NewCollector()
+		w.Run(func() {
+			w.CreateHARL("f", testRST(), func(file *HARLFile, err error) {
+				if err != nil {
+					t.Errorf("create: %v", err)
+					return
+				}
+				tf := w.Trace(file, col)
+				// 900KB+2MB crosses all three regions; the tail read sits
+				// in the open-ended last region.
+				if phantom {
+					tf.WriteZeros(1, 900<<10, 2<<20, func(error) {
+						tf.ReadDiscard(2, 900<<10, 2<<20, func(error) {
+							tf.ReadDiscard(3, 4<<20, 4096, func(error) {})
+						})
+					})
+					return
+				}
+				tf.WriteAt(1, 900<<10, make([]byte, 2<<20), func(error) {
+					tf.ReadAt(2, 900<<10, 2<<20, func([]byte, error) {
+						tf.ReadAt(3, 4<<20, 4096, func([]byte, error) {})
+					})
+				})
+			})
+		})
+		return col.Trace().Records
+	}
+	payload, phantom := record(false), record(true)
+	if len(payload) != 3 || !reflect.DeepEqual(payload, phantom) {
+		t.Fatalf("phantom records %+v differ from payload records %+v", phantom, payload)
 	}
 }
 

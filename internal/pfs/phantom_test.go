@@ -1,9 +1,12 @@
 package pfs
 
 import (
+	"reflect"
 	"testing"
 
+	"harl/internal/device"
 	"harl/internal/layout"
+	"harl/internal/obs"
 	"harl/internal/sim"
 )
 
@@ -53,34 +56,124 @@ func TestPhantomReadOfPhantomWriteIsZeros(t *testing.T) {
 	}
 }
 
-// Phantom operations must cost the same virtual time as their real
-// counterparts: the layouts, network transfers and disk services are
-// identical, only the payload handling differs.
+// Phantom operations must behave exactly like their payload twins: the
+// layouts, network transfers, disk services, recovery policy and
+// replication protocol are identical, only the payload handling differs.
+// Each case runs one request sequence both ways and compares the end
+// time, processed events, per-server disk busy time, errors and span
+// names.
 func TestPhantomTimingMatchesReal(t *testing.T) {
-	run := func(phantom bool) sim.Time {
-		e, fs := testbed(t)
-		c := fs.NewClient("c0")
-		f := mustCreate(t, e, c, "f", layout.Fixed(6, 2, 64<<10))
-		var end sim.Time
-		e.Schedule(0, func() {
-			finish := func(error) { end = e.Now() }
-			if phantom {
-				f.WriteZeros(0, 1<<20, func(err error) {
-					f.ReadDiscard(0, 1<<20, finish)
-				})
-			} else {
-				f.WriteAt(make([]byte, 1<<20), 0, func(err error) {
-					f.ReadAt(0, 1<<20, func(_ []byte, err error) { finish(err) })
-				})
+	cases := []struct {
+		name       string
+		lo         layout.Mapper
+		r          int
+		policy     Policy
+		flaky      bool
+		instrument bool
+	}{
+		{name: "fixed", lo: layout.Fixed(6, 2, 64<<10)},
+		{name: "striping", lo: layout.Striping{M: 6, N: 2, H: 16 << 10, S: 96 << 10}},
+		{name: "tiered", lo: layout.Tiered{Counts: []int{6, 2}, Stripes: []int64{32 << 10, 160 << 10}}},
+		{name: "policy-flaky", lo: layout.Fixed(6, 2, 64<<10), flaky: true, policy: Policy{
+			Timeout: 50 * sim.Millisecond, MaxRetries: 4, Backoff: sim.Millisecond, HedgeAfter: 5 * sim.Millisecond,
+		}},
+		{name: "repl-r2", lo: layout.Fixed(6, 2, 64<<10), r: 2},
+		{name: "instrumented", lo: layout.Striping{M: 6, N: 2, H: 16 << 10, S: 96 << 10}, instrument: true},
+	}
+	// Whole, partial-stripe and unaligned ranges, each written then read.
+	ops := []struct {
+		op        device.Op
+		off, size int64
+	}{
+		{device.Write, 0, 1 << 20},
+		{device.Read, 0, 1 << 20},
+		{device.Write, 1<<20 + 12345, 300 << 10},
+		{device.Read, 1<<20 + 12345, 300 << 10},
+		{device.Read, 100, 5000},
+	}
+	type outcome struct {
+		end    sim.Time
+		events uint64
+		busy   []sim.Duration
+		errs   []string
+		faults FaultStats
+		spans  map[string]int
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(phantom bool) outcome {
+				e, fs := testbed(t)
+				var tr *obs.Tracer
+				if tc.instrument {
+					tr = obs.NewTracer(e)
+					fs.Instrument(tr, obs.NewRegistry())
+				}
+				if tc.flaky {
+					fs.SetFlaky(1, 0.2, 0.1)
+					fs.SetFlaky(6, 0.2, 0.1)
+				}
+				fs.ClientPolicy = tc.policy
+				c := fs.NewClient("c0")
+				var f *File
+				if tc.r > 1 {
+					f = mustCreateRepl(t, e, c, "f", tc.lo.(layout.Striping), tc.r)
+				} else {
+					e.Schedule(0, func() {
+						c.Create("f", tc.lo, func(file *File, err error) {
+							if err != nil {
+								t.Errorf("create: %v", err)
+							}
+							f = file
+						})
+					})
+					e.Run()
+				}
+				var out outcome
+				var step func(i int)
+				step = func(i int) {
+					if i == len(ops) {
+						return
+					}
+					next := func(err error) {
+						if err != nil {
+							out.errs = append(out.errs, err.Error())
+						}
+						step(i + 1)
+					}
+					switch o := ops[i]; {
+					case o.op == device.Write && phantom:
+						f.WriteZeros(o.off, o.size, next)
+					case o.op == device.Write:
+						f.WriteAt(make([]byte, o.size), o.off, next)
+					case phantom:
+						f.ReadDiscard(o.off, o.size, next)
+					default:
+						f.ReadAt(o.off, o.size, func(_ []byte, err error) { next(err) })
+					}
+				}
+				e.Schedule(0, func() { step(0) })
+				out.end = e.Run()
+				out.events = e.Processed
+				out.faults = fs.Faults
+				for _, s := range fs.Servers() {
+					out.busy = append(out.busy, s.DiskBusy())
+				}
+				if tr != nil {
+					out.spans = make(map[string]int)
+					for _, sp := range tr.Spans() {
+						out.spans[sp.Name]++
+					}
+				}
+				return out
+			}
+			real, phantom := run(false), run(true)
+			if !reflect.DeepEqual(real, phantom) {
+				t.Fatalf("phantom run %+v differs from payload run %+v", phantom, real)
+			}
+			if tc.flaky && (real.faults.Retries == 0 || real.faults.Hedges == 0) {
+				t.Fatalf("policy case never retried or hedged: %+v", real.faults)
 			}
 		})
-		e.Run()
-		return end
-	}
-	real := run(false)
-	phantom := run(true)
-	if real != phantom {
-		t.Fatalf("phantom timing %v differs from real %v", phantom, real)
 	}
 }
 
