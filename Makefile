@@ -9,7 +9,7 @@ CHAOS_SEED ?= 1
 # and auto-discovers the newest committed BENCH_PR<N>.json instead.
 BENCH_FILE ?= BENCH_PR10.json
 
-.PHONY: verify build test race bench vet chaos trace monitor benchcheck enginediff repl slo doctor benchmod
+.PHONY: verify build test race bench vet chaos trace monitor benchcheck enginediff repl slo doctor benchmod fuzz
 
 # verify is the tier-1 gate: everything must pass before a commit lands.
 # benchcheck is advisory (non-fatal): it flags benchmark drift but a
@@ -27,6 +27,7 @@ verify:
 	$(MAKE) slo
 	$(MAKE) doctor
 	$(MAKE) benchmod
+	$(MAKE) fuzz
 	@$(MAKE) benchcheck || echo "warning: benchmark drift (non-fatal); refresh $(BENCH_FILE) with 'make bench' if intended"
 
 # monitor runs the online-monitor suite under the race detector plus the
@@ -67,6 +68,15 @@ doctor:
 # a pfs or mpiio API change could break the benchmark unnoticed.
 benchmod:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# fuzz runs each native fuzz target for a fixed 5 s: the RST and tiered
+# RST parsers (no panic, lossless round trip) and layout.Geometry against
+# the fragment-walk oracle. A failing input lands in the package's
+# testdata/fuzz directory; commit it as a regression seed.
+fuzz:
+	$(GO) test -run=NONE -fuzz='^FuzzReadRST$$' -fuzztime 5s ./internal/harl
+	$(GO) test -run=NONE -fuzz='^FuzzReadTieredRST$$' -fuzztime 5s ./internal/harl
+	$(GO) test -run=NONE -fuzz='^FuzzGeometryDistribute$$' -fuzztime 5s ./internal/layout
 
 # benchcheck compares fresh measurements against the newest committed
 # snapshot (benchguard auto-discovers BENCH_PR<N>.json).

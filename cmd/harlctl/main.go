@@ -722,9 +722,23 @@ func cmdShow(args []string) error {
 	}
 	// The header line distinguishes two-tier from tiered tables.
 	if rst, err := harl.ReadRST(bytes.NewReader(data)); err == nil {
-		fmt.Printf("%-6s %-14s %-14s %-10s %-10s\n", "region", "offset", "end", "H stripe", "S stripe")
+		// The R column appears only when some region is replicated, so
+		// unreplicated tables print as they always have.
+		replicated := false
+		for _, e := range rst.Entries {
+			replicated = replicated || e.R > 1
+		}
+		head := fmt.Sprintf("%-6s %-14s %-14s %-10s %-10s", "region", "offset", "end", "H stripe", "S stripe")
+		if replicated {
+			head += " R"
+		}
+		fmt.Println(head)
 		for i, e := range rst.Entries {
-			fmt.Printf("%-6d %-14d %-14d %-10s %-10s\n", i, e.Offset, e.End, kb(e.H), kb(e.S))
+			row := fmt.Sprintf("%-6d %-14d %-14d %-10s %-10s", i, e.Offset, e.End, kb(e.H), kb(e.S))
+			if replicated {
+				row += fmt.Sprintf(" %d", max(e.R, 1))
+			}
+			fmt.Println(row)
 		}
 		return nil
 	}

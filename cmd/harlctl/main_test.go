@@ -69,6 +69,34 @@ func TestOptimizeShowRoundTrip(t *testing.T) {
 	}
 }
 
+// TestShowReplicationColumn pins show's output for a v1 table, which
+// has no R column, and for a v2 table, whose R column reports every
+// region's replication factor.
+func TestShowReplicationColumn(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct{ rst, want string }{
+		{"#harl-rst v1\n0 100 4096 8192\n",
+			"region offset         end            H stripe   S stripe  \n" +
+				"0      0              100            4KB        8KB       \n"},
+		{"#harl-rst v2\n0 100 4096 8192 2\n100 200 0 65536 1\n",
+			"region offset         end            H stripe   S stripe   R\n" +
+				"0      0              100            4KB        8KB        2\n" +
+				"1      100            200            0KB        64KB       1\n"},
+	} {
+		path := filepath.Join(dir, "t.rst")
+		if err := os.WriteFile(path, []byte(c.rst), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, err := capture(t, "show", "-rst", path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != c.want {
+			t.Errorf("show %q:\n%q\nwant\n%q", c.rst, out, c.want)
+		}
+	}
+}
+
 func TestTraceCommandQuick(t *testing.T) {
 	json := filepath.Join(t.TempDir(), "trace.json")
 	out, err := capture(t, "trace", "-quick", "-out", json)

@@ -22,14 +22,24 @@
 //
 // The per-request quantities (m, n, s_m, s_n) come from the striping
 // geometry in package layout. The paper derives them with the closed-form
-// case analysis of its Figures 4-5; this implementation computes them
-// exactly for all four cases (and the degenerate h=0 / s=0 layouts) from
-// the same round-robin geometry, in O(M+N) per request.
+// case analysis of its Figures 4-5; layout.Geometry computes them exactly
+// for all four cases (and the degenerate h=0 / s=0 layouts) from the same
+// round-robin geometry, in O(M+N) per request.
+//
+// One arithmetic serves every form of the model. Each server class is a
+// tier with its own read and write rows (TierParams); a request reaches
+// the model as one (servers touched, largest sub-request) load per tier,
+// and each of T_X, T_S and T_T is the maximum of its per-tier terms. The
+// paper's two-class Params is the K=2 case — HServers then SServers, the
+// HServer row serving both operations — and MultiParams is the
+// generalization to any number of tiers (the paper's first future-work
+// item). An Evaluator pins one layout and scores requests against it
+// without allocating; RequestCost on Params or MultiParams is the same
+// arithmetic for a single request.
 package cost
 
 import (
 	"fmt"
-	"math"
 
 	"harl/internal/device"
 	"harl/internal/layout"
@@ -118,55 +128,82 @@ func (p Params) RequestCost(op device.Op, offset, size, h, s int64) float64 {
 	return p.RequestBreakdown(op, offset, size, h, s).Total()
 }
 
-// RequestBreakdown is RequestCost with the three terms itemized.
+// RequestBreakdown is RequestCost with the three terms itemized. It lifts
+// p and (h, s) to two tiers on the stack; callers scoring many requests
+// under one pair use an Evaluator, which lifts once.
 func (p Params) RequestBreakdown(op device.Op, offset, size, h, s int64) Breakdown {
 	if size <= 0 {
 		return Breakdown{}
 	}
-	st := layout.Striping{M: p.M, N: p.N, H: h, S: s}
-	if err := st.Validate(); err != nil {
+	geo, err := layout.NewGeometry(layout.TieredOf(layout.Striping{M: p.M, N: p.N, H: h, S: s}))
+	if err != nil {
 		panic(err)
 	}
-	return p.distributionBreakdown(op, st.DistributeAnalytic(offset, size))
+	var load [2]layout.TierLoad
+	geo.Distribute(load[:], offset, size)
+	rows := p.rates(op)
+	return breakdown(p.NetUnit, replication(op, p.R), rows[:], load[:])
 }
 
-// distributionBreakdown applies Eqs. (1)-(6) to a computed sub-request
-// distribution. It is the single arithmetic path shared by
-// RequestBreakdown and Evaluator, so cached and uncached evaluations are
-// bit-identical.
-func (p Params) distributionBreakdown(op device.Op, d layout.Distribution) Breakdown {
-	sm := float64(d.MaxH)
-	sn := float64(d.MaxS)
+// rates is one tier's Table I row for one operation: startup uniform on
+// [alphaMin, alphaMax], then beta seconds per byte.
+type rates struct{ alphaMin, alphaMax, beta float64 }
 
+// rates lifts p to its two tier rows for op, HServers then SServers. The
+// HServer profile serves both operations.
+func (p Params) rates(op device.Op) [2]rates {
+	s := rates{p.AlphaSWMin, p.AlphaSWMax, p.BetaSW}
+	if op == device.Read {
+		s = rates{p.AlphaSRMin, p.AlphaSRMax, p.BetaSR}
+	}
+	return [2]rates{{p.AlphaHMin, p.AlphaHMax, p.BetaH}, s}
+}
+
+// rates returns the tier's row for op.
+func (t TierParams) rates(op device.Op) rates {
+	if op == device.Read {
+		return rates{t.ReadAlphaMin, t.ReadAlphaMax, t.ReadBeta}
+	}
+	return rates{t.WriteAlphaMin, t.WriteAlphaMax, t.WriteBeta}
+}
+
+// replication returns the replication factor an operation pays for:
+// writes commit on r replicas, reads are served by one. 0 and 1 both
+// mean unreplicated.
+func replication(op device.Op, r int) int {
+	if op == device.Write && r > 1 {
+		return r
+	}
+	return 1
+}
+
+// breakdown applies Eqs. (1)-(8) to one request's per-tier load: tier i
+// has the Table I row tiers[i] for the request's operation, and load[i]
+// holds the servers it touches and its largest sub-request. It is the
+// model's one arithmetic path — Params, MultiParams and Evaluator all end
+// here — so every form of the model is bit-identical to every other on
+// the same request.
+//
+// r is the replication factor the operation pays for (see replication).
+// A replicated write forwards each primary's sub-request serially down
+// its chain over the primary's uplink (r-1 extra hops of the largest
+// sub-request), and the ack waits on startup draws across all r stores
+// of each touched slot; r == 1 leaves every formula untouched.
+func breakdown(netUnit float64, r int, tiers []rates, load []layout.TierLoad) Breakdown {
 	var b Breakdown
-	// Eq. (1): network transfer of the largest sub-request on each class.
-	b.Network = math.Max(sm, sn) * p.NetUnit
-
-	// Replicated writes forward each primary's sub-request serially down
-	// its chain over the primary's uplink (R-1 extra hops of the largest
-	// sub-request), and the ack waits on startup draws across all R
-	// stores of each touched slot.
-	startupScale := 1
-	if op == device.Write && p.R > 1 {
-		b.Network += float64(p.R-1) * math.Max(sm, sn) * p.NetUnit
-		startupScale = p.R
+	var maxSub float64
+	for i, t := range tiers {
+		sub := float64(load[i].Max)
+		maxSub = max(maxSub, sub)
+		// Eqs. (2)-(5): expected maximum startup across touched servers.
+		b.Startup = max(b.Startup, expectedMaxUniform(t.alphaMin, t.alphaMax, load[i].Touched*r))
+		// Eq. (6): storage transfer of the tier's largest sub-request.
+		b.Transfer = max(b.Transfer, sub*t.beta)
 	}
-
-	// Eqs. (2)-(5): expected maximum startup across the touched servers.
-	var hStart, sStart float64
-	hStart = expectedMaxUniform(p.AlphaHMin, p.AlphaHMax, d.MTouched*startupScale)
-	if op == device.Read {
-		sStart = expectedMaxUniform(p.AlphaSRMin, p.AlphaSRMax, d.NTouched)
-	} else {
-		sStart = expectedMaxUniform(p.AlphaSWMin, p.AlphaSWMax, d.NTouched*startupScale)
-	}
-	b.Startup = math.Max(hStart, sStart)
-
-	// Eq. (6): storage transfer of the largest sub-request on each class.
-	if op == device.Read {
-		b.Transfer = math.Max(sm*p.BetaH, sn*p.BetaSR)
-	} else {
-		b.Transfer = math.Max(sm*p.BetaH, sn*p.BetaSW)
+	// Eq. (1): network transfer of the largest sub-request on any tier.
+	b.Network = maxSub * netUnit
+	if r > 1 {
+		b.Network += float64(r-1) * maxSub * netUnit
 	}
 	return b
 }

@@ -18,7 +18,7 @@ func evalParams() Params {
 	}
 }
 
-// TestEvaluatorBitIdentical pins the determinism contract: the cached
+// TestEvaluatorBitIdentical pins the determinism contract: the
 // evaluator must reproduce Params.RequestCost to the last bit across
 // pairs (including the H==0 / S==0 extremes), operations, and offsets
 // far beyond one striping round.
@@ -63,14 +63,11 @@ func TestEvaluatorReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm the cache under the first pair, then repin and re-verify: a
-	// stale distribution would surface as a cost mismatch.
+	// Score under the first pair, then repin and re-verify: a stale
+	// geometry would surface as a cost mismatch.
 	e.RequestCost(device.Read, 12<<10, 512<<10)
 	if err := e.Reset(16<<10, 64<<10); err != nil {
 		t.Fatal(err)
-	}
-	if h, s := e.Pair(); h != 16<<10 || s != 64<<10 {
-		t.Fatalf("Pair() = (%d,%d)", h, s)
 	}
 	want := p.RequestCost(device.Read, 12<<10, 512<<10, 16<<10, 64<<10)
 	if got := e.RequestCost(device.Read, 12<<10, 512<<10); got != want {
@@ -93,7 +90,41 @@ func TestEvaluatorErrors(t *testing.T) {
 	if err := e.Reset(0, 0); err == nil {
 		t.Fatal("Reset to 0-0 accepted")
 	}
+	if err := e.Reset(4096); err == nil {
+		t.Fatal("Reset with one stripe for two tiers accepted")
+	}
+	// A rejected Reset keeps the previous pair.
+	want := p.RequestCost(device.Write, 5000, 70000, 4096, 8192)
+	if got := e.RequestCost(device.Write, 5000, 70000); got != want {
+		t.Fatalf("after rejected Reset: %v != %v", got, want)
+	}
 	if got := e.RequestCost(device.Read, 0, 0); got != 0 {
 		t.Fatalf("zero-size cost = %v", got)
+	}
+}
+
+// BenchmarkEvaluator measures the inner loop of both of HARL's searches:
+// one request scored under a pinned layout, at K=2 (Params on the
+// paper's 6H+2S testbed) and K=3.
+func BenchmarkEvaluator(b *testing.B) {
+	p := evalParams()
+	k2, err := p.NewEvaluator(32<<10, 160<<10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	k3, err := threeTier().NewEvaluator(16<<10, 64<<10, 256<<10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		e    *Evaluator
+	}{{"K=2", k2}, {"K=3", k3}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.e.RequestCost(device.Read, int64(i)*4096, 512<<10)
+			}
+		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"harl/internal/device"
-	"harl/internal/layout"
 	"harl/internal/netsim"
 )
 
@@ -13,7 +12,8 @@ import (
 // profiles". The structure of Eqs. (1)-(8) generalizes directly: each
 // tier contributes an order-statistics startup term and a transfer term
 // for its largest sub-request, and the request cost takes the maximum
-// across tiers for each of T_X, T_S and T_T.
+// across tiers for each of T_X, T_S and T_T. The arithmetic is the one
+// Params uses (breakdown in cost.go); two-tier Params is its K=2 case.
 
 // TierParams is one server class's Table I row pair (read and write
 // profiles) plus its server count.
@@ -80,23 +80,17 @@ func (p MultiParams) Counts() []int {
 }
 
 // MultiOf lifts the two-tier Params into the generalized form; the
-// resulting model computes identical costs.
+// resulting model computes identical costs for unreplicated layouts
+// (MultiParams carries no replication factor).
 func MultiOf(p Params) MultiParams {
-	return MultiParams{
-		NetUnit: p.NetUnit,
-		Tiers: []TierParams{
-			{
-				Name: "hserver", Count: p.M,
-				ReadAlphaMin: p.AlphaHMin, ReadAlphaMax: p.AlphaHMax, ReadBeta: p.BetaH,
-				WriteAlphaMin: p.AlphaHMin, WriteAlphaMax: p.AlphaHMax, WriteBeta: p.BetaH,
-			},
-			{
-				Name: "sserver", Count: p.N,
-				ReadAlphaMin: p.AlphaSRMin, ReadAlphaMax: p.AlphaSRMax, ReadBeta: p.BetaSR,
-				WriteAlphaMin: p.AlphaSWMin, WriteAlphaMax: p.AlphaSWMax, WriteBeta: p.BetaSW,
-			},
-		},
+	r, w := p.rates(device.Read), p.rates(device.Write)
+	tiers := []TierParams{{Name: "hserver", Count: p.M}, {Name: "sserver", Count: p.N}}
+	for i := range tiers {
+		t := &tiers[i]
+		t.ReadAlphaMin, t.ReadAlphaMax, t.ReadBeta = r[i].alphaMin, r[i].alphaMax, r[i].beta
+		t.WriteAlphaMin, t.WriteAlphaMax, t.WriteBeta = w[i].alphaMin, w[i].alphaMax, w[i].beta
 	}
+	return MultiParams{NetUnit: p.NetUnit, Tiers: tiers}
 }
 
 // RequestCost returns the modeled completion time of one request under
@@ -105,40 +99,14 @@ func (p MultiParams) RequestCost(op device.Op, offset, size int64, stripes []int
 	return p.RequestBreakdown(op, offset, size, stripes).Total()
 }
 
-// RequestBreakdown itemizes the generalized cost terms.
+// RequestBreakdown itemizes the generalized cost terms. It builds an
+// Evaluator per call; callers scoring many requests build one instead.
 func (p MultiParams) RequestBreakdown(op device.Op, offset, size int64, stripes []int64) Breakdown {
-	if len(stripes) != len(p.Tiers) {
-		panic(fmt.Sprintf("cost: %d stripes for %d tiers", len(stripes), len(p.Tiers)))
-	}
-	if size <= 0 {
-		return Breakdown{}
-	}
-	tl := layout.Tiered{Counts: p.Counts(), Stripes: stripes}
-	if err := tl.Validate(); err != nil {
+	e, err := p.NewEvaluator(stripes...)
+	if err != nil {
 		panic(err)
 	}
-	d := tl.Distribute(offset, size)
-
-	var b Breakdown
-	for i, tier := range p.Tiers {
-		maxSub := float64(d.Max[i])
-		if net := maxSub * p.NetUnit; net > b.Network {
-			b.Network = net
-		}
-		var alphaLo, alphaHi, beta float64
-		if op == device.Read {
-			alphaLo, alphaHi, beta = tier.ReadAlphaMin, tier.ReadAlphaMax, tier.ReadBeta
-		} else {
-			alphaLo, alphaHi, beta = tier.WriteAlphaMin, tier.WriteAlphaMax, tier.WriteBeta
-		}
-		if start := expectedMaxUniform(alphaLo, alphaHi, d.Touched[i]); start > b.Startup {
-			b.Startup = start
-		}
-		if xfer := maxSub * beta; xfer > b.Transfer {
-			b.Transfer = xfer
-		}
-	}
-	return b
+	return e.RequestBreakdown(op, offset, size)
 }
 
 // CalibrateTiers fits a MultiParams against one device profile per tier

@@ -100,8 +100,10 @@ func BenchmarkAnalyze(b *testing.B) {
 	}
 }
 
-// BenchmarkRequestCost measures one cost-model evaluation, the inner
-// loop of both searches.
+// BenchmarkRequestCost measures one uncached cost-model evaluation
+// through Params, which lifts to two tiers and validates the pair per
+// call. Both searches score through a cost.Evaluator instead (see
+// BenchmarkEvaluator in package cost).
 func BenchmarkRequestCost(b *testing.B) {
 	p := modelParams()
 	b.ResetTimer()

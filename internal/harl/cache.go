@@ -10,9 +10,10 @@ import (
 
 // searchWorker is one grid-search worker's private state: the region's
 // sampled requests with their evaluation-cache indexing precomputed, a
-// reusable cost.Evaluator (striping validated and round geometry derived
-// once per candidate instead of once per request), and the running best
-// candidate, against which the lower-bound early exit prunes.
+// reusable cost.Evaluator (parameters lifted once per worker, striping
+// validated once per candidate instead of once per request), and the
+// running best candidate, against which the lower-bound early exit
+// prunes.
 //
 // The cost-evaluation cache is index-based rather than hash-based: two
 // sampled requests with the same (op, region-local offset, size) have
@@ -129,7 +130,7 @@ func (w *searchWorker) consider(p StripePair) {
 			c = w.costs[w.shape[i]]
 		default:
 			w.evals++
-			c = w.eval.RequestCostDirect(r.Op, w.local[i], r.Size)
+			c = w.eval.RequestCost(r.Op, w.local[i], r.Size)
 			w.costs[i] = c
 		}
 		total += c

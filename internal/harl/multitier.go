@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"harl/internal/cost"
+	"harl/internal/layout"
 	"harl/internal/trace"
 )
 
@@ -59,16 +60,27 @@ func (o TieredOptimizer) OptimizeRegion(records []trace.Record, base int64, avg 
 		rBar = step
 	}
 
-	score := func(s []int64) float64 {
+	// One evaluator scores every candidate. Reset rejects exactly the
+	// assignments that store no data, which the descent skips; the
+	// minimal starting point always stores some.
+	points := o.startingPoints(step, rBar)
+	eval, err := o.Params.NewEvaluator(points[0]...)
+	if err != nil {
+		panic(err)
+	}
+	score := func(s []int64) (float64, bool) {
+		if eval.Reset(s...) != nil {
+			return 0, false
+		}
 		total := 0.0
 		for _, r := range sample {
 			local := r.Offset - base
 			if local < 0 {
 				local = 0
 			}
-			total += o.Params.RequestCost(r.Op, local, r.Size, s)
+			total += eval.RequestCost(r.Op, local, r.Size)
 		}
-		return total
+		return total, true
 	}
 
 	// Coordinate descent can stall on joint moves (raising one tier's
@@ -77,9 +89,12 @@ func (o TieredOptimizer) OptimizeRegion(records []trace.Record, base int64, avg 
 	// and keeps the best fixpoint.
 	var bestStripes []int64
 	best := math.Inf(1)
-	for _, start := range o.startingPoints(step, rBar) {
+	for _, start := range points {
 		stripes := append([]int64(nil), start...)
-		cur := score(stripes)
+		cur, ok := score(stripes)
+		if !ok {
+			continue
+		}
 		for sweep := 0; sweep < sweeps; sweep++ {
 			improved := false
 			for ti, tier := range o.Params.Tiers {
@@ -90,10 +105,7 @@ func (o TieredOptimizer) OptimizeRegion(records []trace.Record, base int64, avg 
 				bestStripe := stripes[ti]
 				for s := int64(0); s <= rBar; s += step {
 					trial[ti] = s
-					if !usable(o.Params, trial) {
-						continue
-					}
-					if c := score(trial); c < cur {
+					if c, ok := score(trial); ok && c < cur {
 						cur = c
 						bestStripe = s
 						improved = true
@@ -153,21 +165,9 @@ func (o TieredOptimizer) startingPoints(step, rBar int64) [][]int64 {
 			}
 			prop[i] = s
 		}
-		if usable(o.Params, prop) {
-			points = append(points, prop)
-		}
+		points = append(points, prop)
 	}
 	return points
-}
-
-// usable reports whether the assignment stores data somewhere.
-func usable(p cost.MultiParams, stripes []int64) bool {
-	for i, t := range p.Tiers {
-		if t.Count > 0 && stripes[i] > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // TieredRSTEntry is one region of a multi-tier Region Stripe Table.
@@ -183,27 +183,23 @@ type TieredRST struct {
 	Entries []TieredRSTEntry
 }
 
-// Validate checks contiguity and stripe sanity.
+// Validate checks the tier counts, contiguity, and that every entry is a
+// usable layout.Tiered over the table's counts.
 func (t *TieredRST) Validate() error {
 	if len(t.Counts) == 0 {
 		return fmt.Errorf("harl: tiered RST has no tiers")
+	}
+	for ti, c := range t.Counts {
+		if c < 0 {
+			return fmt.Errorf("harl: tiered RST tier %d has negative count %d", ti, c)
+		}
 	}
 	for i, e := range t.Entries {
 		if e.End <= e.Offset {
 			return fmt.Errorf("harl: tiered RST entry %d has empty range", i)
 		}
-		if len(e.Stripes) != len(t.Counts) {
-			return fmt.Errorf("harl: tiered RST entry %d has %d stripes for %d tiers", i, len(e.Stripes), len(t.Counts))
-		}
-		var bytes int64
-		for ti, s := range e.Stripes {
-			if s < 0 {
-				return fmt.Errorf("harl: tiered RST entry %d has negative stripe", i)
-			}
-			bytes += int64(t.Counts[ti]) * s
-		}
-		if bytes == 0 {
-			return fmt.Errorf("harl: tiered RST entry %d stores no data", i)
+		if err := (layout.Tiered{Counts: t.Counts, Stripes: e.Stripes}).Validate(); err != nil {
+			return fmt.Errorf("harl: tiered RST entry %d: %w", i, err)
 		}
 		if i == 0 {
 			if e.Offset != 0 {

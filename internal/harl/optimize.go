@@ -31,12 +31,11 @@
 //     claim dynamically, each keeping a private running best; a final
 //     reduce merges the per-worker bests. Single-huge-region traces (IOR
 //     uniform) therefore scale too.
-//   - Cost-evaluation cache: each worker scores candidates through a
+//   - Cost-evaluation cache: each worker scores candidates through one
 //     cost.Evaluator, which validates the striping geometry once per
-//     candidate and memoizes the sub-request distribution of each
-//     distinct (offset mod round, size) request shape — distributions
-//     are periodic in the striping round, so a region's stripe-aligned
-//     requests collapse to a few geometry computations.
+//     candidate, and evaluates each distinct (op, offset, size) sample
+//     once per candidate — repeated samples reuse the first one's cost
+//     by index, with no hashing in the inner loop.
 //   - Pruning: per-request costs are non-negative, so a candidate's
 //     partial sum is an admissible lower bound on its total; evaluation
 //     aborts as soon as the partial sum strictly exceeds the worker's

@@ -60,6 +60,10 @@ func ReadTieredRST(r io.Reader) (*TieredRST, error) {
 			case line == tieredHeader:
 				sawHeader = true
 			case strings.HasPrefix(line, "#counts"):
+				if t.Counts != nil {
+					return nil, fmt.Errorf("harl: tiered RST line %d: repeated #counts", lineNo)
+				}
+				t.Counts = []int{}
 				for _, fld := range strings.Fields(line)[1:] {
 					c, err := strconv.Atoi(fld)
 					if err != nil {

@@ -69,3 +69,18 @@ func TestReadTieredRSTSkipsCommentsAndBlank(t *testing.T) {
 		t.Fatalf("parsed %+v", got)
 	}
 }
+
+// TestReadTieredRSTRejectsBadCounts pins two inputs the reader once
+// accepted: a negative tier count whose entry still stores bytes, and a
+// second #counts line, which appended to the first.
+func TestReadTieredRSTRejectsBadCounts(t *testing.T) {
+	for _, in := range []string{
+		"#harl-tiered-rst v1\n#counts -1 2\n0 100 4096 8192\n",
+		"#harl-tiered-rst v1\n#counts -1 2\n",
+		"#harl-tiered-rst v1\n#counts 1\n#counts 2\n0 100 4096 8192\n",
+	} {
+		if got, err := ReadTieredRST(strings.NewReader(in)); err == nil {
+			t.Errorf("accepted %q as %+v", in, got)
+		}
+	}
+}

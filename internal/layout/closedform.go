@@ -10,7 +10,7 @@ import "fmt"
 // sub-requests fall on HServers. This file carries that published
 // derivation — with its boundary conditions worked out in full — and the
 // tests cross-check it against the exact geometric computation
-// (DistributeAnalytic) by exhaustive enumeration.
+// (Geometry.Distribute) by exhaustive enumeration.
 //
 // Derivation sketch (case (a), request [o, o+r), round size R = M*h+N*s):
 // with r_b/r_e the first/last byte's round indices, n_b/n_e their HServer
@@ -24,13 +24,6 @@ import "fmt"
 // request stays inside one round's H zone). The published table agrees
 // with this everywhere except transcription slips in its fragment-size
 // row (it mixes l_e into the l_b arm); the tests pin the corrected forms.
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 // CaseKind labels the four begin/end placements of Fig. 4.
 type CaseKind int
@@ -67,12 +60,13 @@ func (st Striping) CaseOf(off, size int64) CaseKind {
 	}
 }
 
-// DistributeCaseA computes (m, n, s_m, s_n) via the closed-form analysis
-// of the paper's Fig. 5. It is defined only for case (a) requests — both
-// boundary sub-requests on HServers — with M, h > 0; other inputs panic.
-// DistributeAnalytic covers every case in O(M+N); this function exists as
-// the paper's published O(1) derivation and is verified equal to it.
-func (st Striping) DistributeCaseA(off, size int64) Distribution {
+// DistributeCaseA computes (m, s_m) and (n, s_n) — the HServer and
+// SServer TierLoads — via the closed-form analysis of the paper's Fig. 5.
+// It is defined only for case (a) requests — both boundary sub-requests
+// on HServers — with M, h > 0; other inputs panic. Geometry.Distribute
+// covers every case in O(M+N); this function exists as the paper's
+// published O(1) derivation and is verified equal to it.
+func (st Striping) DistributeCaseA(off, size int64) [2]TierLoad {
 	if st.M <= 0 || st.H <= 0 {
 		panic(fmt.Sprintf("layout: DistributeCaseA needs M>0, h>0, got %v", st))
 	}
@@ -93,22 +87,23 @@ func (st Striping) DistributeCaseA(off, size int64) Distribution {
 	dr := re - rb        // Δr
 	dc := ne - nb        // Δc
 
-	var d Distribution
+	var d [2]TierLoad
+	h, s := &d[0], &d[1]
 	if dr == 0 {
 		// The request lives inside one round's H zone: no SServer data.
 		switch {
 		case dc == 0:
-			d.MTouched, d.MaxH = 1, size
+			h.Touched, h.Max = 1, size
 		case dc == 1:
-			d.MTouched, d.MaxH = 2, maxI64(sb, se)
+			h.Touched, h.Max = 2, max(sb, se)
 		default:
-			d.MTouched, d.MaxH = dc+1, st.H
+			h.Touched, h.Max = dc+1, st.H
 		}
 		return d
 	}
 
 	// dr >= 1: every SServer serves exactly Δr full stripes.
-	d.NTouched, d.MaxS = st.N, dr*st.S
+	s.Touched, s.Max = st.N, dr*st.S
 
 	// HServer columns: (Δr-1)·h from middle rounds plus the best f+g.
 	base := (dr - 1) * st.H
@@ -119,36 +114,33 @@ func (st Striping) DistributeCaseA(off, size int64) Distribution {
 		// other column (when one exists) takes h from one partial round.
 		peak = sb + se
 		if st.M >= 2 {
-			peak = maxI64(peak, st.H)
+			peak = max(peak, st.H)
 		}
-		d.MTouched = st.M
-		if dr == 1 && st.M > 1 {
-			// One wrap, same column: every column is still reached by
-			// either the head ([lb, R)) or the tail ([0, le]) partial.
-			d.MTouched = st.M
-		}
+		// Every column is reached by a middle round or, with one wrap,
+		// by either the head ([lb, R)) or the tail ([0, le]) partial.
+		h.Touched = st.M
 	case dc > 0:
 		// Begin column takes s_b + h (head fragment + tail round),
 		// end column h + s_e, and columns strictly between take 2h.
-		peak = maxI64(sb, se) + st.H
+		peak = max(sb, se) + st.H
 		if dc > 1 {
 			peak = 2 * st.H
 		}
-		d.MTouched = st.M
+		h.Touched = st.M
 	default: // dc < 0
 		// The tail partial reaches columns < n_e, the head partial
 		// columns > n_b; columns in the gap (n_e, n_b) are served only
 		// by whole middle rounds, absent when Δr == 1.
-		peak = maxI64(sb, se)
+		peak = max(sb, se)
 		if ne > 0 || nb < st.M-1 {
-			peak = maxI64(peak, st.H)
+			peak = max(peak, st.H)
 		}
 		if dr == 1 {
-			d.MTouched = st.M + 1 + dc // the paper's (M + 1 + Δc) row
+			h.Touched = st.M + 1 + dc // the paper's (M + 1 + Δc) row
 		} else {
-			d.MTouched = st.M
+			h.Touched = st.M
 		}
 	}
-	d.MaxH = base + peak
+	h.Max = base + peak
 	return d
 }

@@ -2,99 +2,85 @@ package layout
 
 import "fmt"
 
-// Geometry is a validated, reusable evaluator of one striping
-// configuration: the round quantities DistributeAnalytic re-derives on
-// every call, computed once. HARL's stripe-size search scores thousands
-// of requests under each (h, s) candidate, so the per-request work must
-// be the cover arithmetic alone.
-//
-// Geometry also exposes the property that makes distributions cacheable:
-// Distribute is periodic in the round size (see Canonical), so requests
-// that differ only by whole striping rounds share one computation.
-type Geometry struct {
-	st     Striping
-	round  int64 // st.RoundSize()
-	hBytes int64 // st.HBytes()
+// TierLoad is one tier's share of a request — the per-class quantities
+// the paper's cost model consumes (Section III-D, Fig. 5): how many of
+// the tier's servers serve part of the request (m or n) and the largest
+// sub-request on any of them (s_m or s_n).
+type TierLoad struct {
+	Touched int   // servers of the tier serving part of the request
+	Max     int64 // largest sub-request on any of them, bytes
 }
 
-// NewGeometry validates st and precomputes its round geometry.
-func NewGeometry(st Striping) (Geometry, error) {
-	if err := st.Validate(); err != nil {
+// Geometry is a validated, reusable evaluator of one tiered striping
+// configuration: the layout computes how a request spreads over servers
+// for the cost model here and nowhere else. The two-tier Striping is its
+// K=2 case through TieredOf. HARL's stripe-size search scores thousands
+// of requests under each candidate, so validation and the round size are
+// done once and the per-request work is the cover arithmetic alone.
+type Geometry struct {
+	t     Tiered
+	round int64 // t.RoundSize()
+}
+
+// NewGeometry validates t and precomputes its round size. The geometry
+// shares t's slices, so the caller must not change them afterwards.
+func NewGeometry(t Tiered) (Geometry, error) {
+	if err := t.Validate(); err != nil {
 		return Geometry{}, err
 	}
-	return Geometry{st: st, round: st.RoundSize(), hBytes: st.HBytes()}, nil
+	return Geometry{t: t, round: t.RoundSize()}, nil
 }
 
-// Striping returns the configuration the geometry evaluates.
-func (g Geometry) Striping() Striping { return g.st }
-
-// Canonical reduces a file offset to its position within the striping
-// round. Every cover term of Distribute depends on the offset only
-// relative to the request's first round boundary, so
-//
-//	g.Distribute(off, size) == g.Distribute(g.Canonical(off), size)
-//
-// exactly (the quantities are integers; no rounding is involved). Callers
-// memoizing distributions key them by (Canonical(offset), size).
-func (g Geometry) Canonical(off int64) int64 {
-	if off < 0 {
-		panic(fmt.Sprintf("layout: negative offset %d", off))
-	}
-	return off % g.round
-}
-
-// Distribute computes the Distribution of the request [off, off+size),
-// identical to Striping.DistributeAnalytic but without re-deriving the
-// round geometry per call.
+// Distribute writes the per-tier load of the request [off, off+size)
+// into dst, one entry per tier, in O(total servers) time independent of
+// the request size and without allocating. It is exact for every
+// placement case, including the four begin/end cases of the paper's
+// Fig. 4 and tiers with a zero stripe size.
 //
 // For each server the covered byte count comes from round geometry: the
 // server's stripe occupies a fixed window of every striping round, the
 // middle rounds of the request are covered entirely, and the first and
 // last rounds contribute their window overlaps.
-func (g Geometry) Distribute(off, size int64) Distribution {
+func (g *Geometry) Distribute(dst []TierLoad, off, size int64) {
 	if off < 0 || size < 0 {
 		panic(fmt.Sprintf("layout: invalid range %d+%d", off, size))
 	}
-	var d Distribution
+	if len(dst) != len(g.t.Counts) {
+		panic(fmt.Sprintf("layout: %d loads for %d tiers", len(dst), len(g.t.Counts)))
+	}
+	clear(dst)
 	if size == 0 {
-		return d
+		return
 	}
 	end := off + size
 	rb := off / g.round
 	re := (end - 1) / g.round
-	mid := re - rb - 1
-	if mid < 0 {
-		mid = 0
-	}
+	mid := max(re-rb-1, 0)
+	first, last := rb*g.round, re*g.round
 
-	cover := func(zone, stripe int64) int64 {
-		cov := mid * stripe
-		cov += overlap(off, end, rb*g.round+zone, rb*g.round+zone+stripe)
-		if re > rb {
-			cov += overlap(off, end, re*g.round+zone, re*g.round+zone+stripe)
+	var zone int64 // the current server's window within a round
+	for ti, c := range g.t.Counts {
+		stripe := g.t.Stripes[ti]
+		if stripe == 0 {
+			continue
 		}
-		return cov
+		var l TierLoad
+		for i := 0; i < c; i++ {
+			cov := mid*stripe + overlap(off, end, first+zone, first+zone+stripe)
+			if re > rb {
+				cov += overlap(off, end, last+zone, last+zone+stripe)
+			}
+			if cov > 0 {
+				l.Touched++
+				l.Max = max(l.Max, cov)
+			}
+			zone += stripe
+		}
+		dst[ti] = l
 	}
+}
 
-	if g.st.H > 0 {
-		for i := 0; i < g.st.M; i++ {
-			if cov := cover(int64(i)*g.st.H, g.st.H); cov > 0 {
-				d.MTouched++
-				if cov > d.MaxH {
-					d.MaxH = cov
-				}
-			}
-		}
-	}
-	if g.st.S > 0 {
-		for i := 0; i < g.st.N; i++ {
-			if cov := cover(g.hBytes+int64(i)*g.st.S, g.st.S); cov > 0 {
-				d.NTouched++
-				if cov > d.MaxS {
-					d.MaxS = cov
-				}
-			}
-		}
-	}
-	return d
+// overlap returns the length of [a,b) ∩ [c,d).
+func overlap(a, b, c, d int64) int64 {
+	return max(min(b, d)-max(a, c), 0)
 }

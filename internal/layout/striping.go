@@ -12,8 +12,9 @@
 // of Fig. 9).
 //
 // This package is shared by the simulated PFS (which needs exact
-// sub-request lists) and by HARL's analytical cost model (which needs the
-// per-class sub-request maxima and server counts of Section III-D).
+// sub-request lists, from Map and Fragments) and by HARL's analytical cost
+// model (which needs the per-tier sub-request maxima and server counts of
+// Section III-D, from Geometry).
 package layout
 
 import "fmt"
@@ -191,36 +192,4 @@ func mapRange[M Mapper](m M, off, size int64) []SubRequest {
 		}
 	}
 	return subs
-}
-
-// Distribution summarizes how a request spreads over the two server
-// classes — the four quantities (m, n, s_m, s_n) the paper's cost model
-// consumes (Section III-D, Fig. 5): the number of HServers and SServers
-// touched and the largest sub-request size on each class.
-type Distribution struct {
-	MTouched int   // m: HServers serving part of the request
-	NTouched int   // n: SServers serving part of the request
-	MaxH     int64 // s_m: largest sub-request on any HServer
-	MaxS     int64 // s_n: largest sub-request on any SServer
-}
-
-// Distribute computes the Distribution of the request [off, off+size).
-// It is exact for every placement case, including the four begin/end cases
-// of the paper's Fig. 4 and the degenerate H==0 / S==0 configurations.
-func (st Striping) Distribute(off, size int64) Distribution {
-	var d Distribution
-	for _, sub := range st.Map(off, size) {
-		if st.IsHServer(sub.Server) {
-			d.MTouched++
-			if sub.Size > d.MaxH {
-				d.MaxH = sub.Size
-			}
-		} else {
-			d.NTouched++
-			if sub.Size > d.MaxS {
-				d.MaxS = sub.Size
-			}
-		}
-	}
-	return d
 }

@@ -185,24 +185,24 @@ func TestDistributeByHand(t *testing.T) {
 	// M=2,N=1,H=10,S=30: round 50. Request [5,45): touches server0 [5,10),
 	// server1 [10,20), server2 [20,45) -> sizes 5,10,25.
 	st := Striping{M: 2, N: 1, H: 10, S: 30}
-	d := st.Distribute(5, 40)
-	if d.MTouched != 2 || d.NTouched != 1 {
-		t.Fatalf("touched = %d/%d, want 2/1", d.MTouched, d.NTouched)
+	d := walkLoads(TieredOf(st), 5, 40)
+	if d[0].Touched != 2 || d[1].Touched != 1 {
+		t.Fatalf("touched = %d/%d, want 2/1", d[0].Touched, d[1].Touched)
 	}
-	if d.MaxH != 10 || d.MaxS != 25 {
-		t.Fatalf("max = %d/%d, want 10/25", d.MaxH, d.MaxS)
+	if d[0].Max != 10 || d[1].Max != 25 {
+		t.Fatalf("max = %d/%d, want 10/25", d[0].Max, d[1].Max)
 	}
 }
 
 func TestDistributeWholeRounds(t *testing.T) {
 	st := Striping{M: 6, N: 2, H: 16 << 10, S: 64 << 10}
 	// Exactly 3 rounds starting at 0: every server gets 3 full stripes.
-	d := st.Distribute(0, 3*st.RoundSize())
-	if d.MTouched != 6 || d.NTouched != 2 {
+	d := loads(t, TieredOf(st), 0, 3*st.RoundSize())
+	if d[0].Touched != 6 || d[1].Touched != 2 {
 		t.Fatalf("touched = %+v", d)
 	}
-	if d.MaxH != 3*16<<10 || d.MaxS != 3*64<<10 {
-		t.Fatalf("max = %d/%d", d.MaxH, d.MaxS)
+	if d[0].Max != 3*16<<10 || d[1].Max != 3*64<<10 {
+		t.Fatalf("max = %d/%d", d[0].Max, d[1].Max)
 	}
 }
 

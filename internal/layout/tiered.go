@@ -41,7 +41,10 @@ func (t Tiered) Validate() error {
 		return fmt.Errorf("layout: tiered config has no servers")
 	}
 	if bytes == 0 {
-		return fmt.Errorf("layout: tiered config %v stores no data", t)
+		// Formatting t.String() rather than t keeps t's slices from
+		// escaping, so the cost model can lift a request to tiers on
+		// the stack.
+		return fmt.Errorf("layout: tiered config %s stores no data", t.String())
 	}
 	return nil
 }
@@ -86,15 +89,6 @@ func (t Tiered) StripeOf(server int) int64 {
 	return t.Stripes[t.TierOf(server)]
 }
 
-// zoneStart returns the in-round byte offset where a tier's zone begins.
-func (t Tiered) zoneStart(tier int) int64 {
-	var z int64
-	for i := 0; i < tier; i++ {
-		z += int64(t.Counts[i]) * t.Stripes[i]
-	}
-	return z
-}
-
 // serverBase returns the global index of a tier's first server.
 func (t Tiered) serverBase(tier int) int {
 	base := 0
@@ -131,59 +125,6 @@ func (t Tiered) Locate(off int64) (server int, local int64) {
 // Map splits [off, off+size) into per-server sub-requests, one contiguous
 // range per touched server, ordered by server index.
 func (t Tiered) Map(off, size int64) []SubRequest { return mapRange(t, off, size) }
-
-// TierDistribution generalizes Distribution: per tier, the number of
-// touched servers and the largest sub-request — the quantities the
-// multi-profile cost model consumes.
-type TierDistribution struct {
-	Touched []int
-	Max     []int64
-}
-
-// Distribute computes the per-tier distribution in O(total servers),
-// independent of request size, mirroring Striping.DistributeAnalytic.
-func (t Tiered) Distribute(off, size int64) TierDistribution {
-	if off < 0 || size < 0 {
-		panic(fmt.Sprintf("layout: invalid range %d+%d", off, size))
-	}
-	d := TierDistribution{Touched: make([]int, t.Tiers()), Max: make([]int64, t.Tiers())}
-	if size == 0 {
-		return d
-	}
-	round := t.RoundSize()
-	if round <= 0 {
-		panic(fmt.Sprintf("layout: %v stores no data", t))
-	}
-	end := off + size
-	rb := off / round
-	re := (end - 1) / round
-	mid := re - rb - 1
-	if mid < 0 {
-		mid = 0
-	}
-	for ti, c := range t.Counts {
-		stripe := t.Stripes[ti]
-		if stripe == 0 {
-			continue
-		}
-		zs := t.zoneStart(ti)
-		for i := 0; i < c; i++ {
-			zone := zs + int64(i)*stripe
-			cov := mid * stripe
-			cov += overlap(off, end, rb*round+zone, rb*round+zone+stripe)
-			if re > rb {
-				cov += overlap(off, end, re*round+zone, re*round+zone+stripe)
-			}
-			if cov > 0 {
-				d.Touched[ti]++
-				if cov > d.Max[ti] {
-					d.Max[ti] = cov
-				}
-			}
-		}
-	}
-	return d
-}
 
 // String renders the configuration, e.g. "[6x16K 1x64K 1x256K]".
 func (t Tiered) String() string {

@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -42,7 +43,7 @@ func TestTieredOfMatchesStriping(t *testing.T) {
 }
 
 // Property: the two-tier special case of Tiered agrees with Striping on
-// Map and Distribute for arbitrary configurations.
+// Map and on the per-tier load for arbitrary configurations.
 func TestTieredTwoTierEquivalenceProperty(t *testing.T) {
 	prop := func(m8, n8 uint8, h16, s16 uint16, off32, size32 uint32) bool {
 		st := Striping{
@@ -68,10 +69,17 @@ func TestTieredTwoTierEquivalenceProperty(t *testing.T) {
 				return false
 			}
 		}
-		d1 := st.DistributeAnalytic(off, size)
-		d2 := tt.Distribute(off, size)
-		return d2.Touched[0] == d1.MTouched && d2.Touched[1] == d1.NTouched &&
-			d2.Max[0] == d1.MaxH && d2.Max[1] == d1.MaxS
+		// The two-tier walk classifies servers by IsHServer.
+		var d1 [2]TierLoad
+		for _, sub := range subs1 {
+			l := &d1[1]
+			if st.IsHServer(sub.Server) {
+				l = &d1[0]
+			}
+			l.Touched++
+			l.Max = max(l.Max, sub.Size)
+		}
+		return slices.Equal(loads(t, tt, off, size), d1[:])
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -96,12 +104,9 @@ func TestTieredThreeTierByHand(t *testing.T) {
 		}
 	}
 	// A full round from 0 touches every server with its full stripe.
-	d := tt.Distribute(0, 80)
-	if d.Touched[0] != 2 || d.Touched[1] != 1 || d.Touched[2] != 1 {
-		t.Fatalf("touched = %v", d.Touched)
-	}
-	if d.Max[0] != 10 || d.Max[1] != 20 || d.Max[2] != 40 {
-		t.Fatalf("max = %v", d.Max)
+	want := []TierLoad{{Touched: 2, Max: 10}, {Touched: 1, Max: 20}, {Touched: 1, Max: 40}}
+	if d := loads(t, tt, 0, 80); !slices.Equal(d, want) {
+		t.Fatalf("loads = %+v, want %+v", d, want)
 	}
 }
 
@@ -112,8 +117,8 @@ func TestTieredSkipsZeroStripeTiers(t *testing.T) {
 			t.Fatalf("data landed on zero-stripe tier: %+v", sub)
 		}
 	}
-	d := tt.Distribute(0, 200)
-	if d.Touched[0] != 0 || d.Max[0] != 0 {
+	d := loads(t, tt, 0, 200)
+	if d[0] != (TierLoad{}) {
 		t.Fatalf("zero-stripe tier touched: %+v", d)
 	}
 }
@@ -151,7 +156,6 @@ func TestTieredPanics(t *testing.T) {
 	tt := Tiered{Counts: []int{2, 2}, Stripes: []int64{10, 20}}
 	mustPanic(t, func() { tt.Locate(-1) })
 	mustPanic(t, func() { tt.Map(-1, 5) })
-	mustPanic(t, func() { tt.Distribute(0, -1) })
 	mustPanic(t, func() { tt.TierOf(99) })
 	mustPanic(t, func() { tt.TierOf(-1) })
 	mustPanic(t, func() { (Tiered{Counts: []int{1}, Stripes: []int64{0}}).Map(0, 5) })
