@@ -69,11 +69,12 @@ doctor:
 benchmod:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# fuzz runs each native fuzz target for a fixed 5 s: the RST and tiered
-# RST parsers (no panic, lossless round trip) and layout.Geometry against
-# the fragment-walk oracle. A failing input lands in the package's
+# fuzz runs each native fuzz target for a fixed 5 s: the trace, RST and
+# tiered RST parsers (no panic, lossless round trip) and layout.Geometry
+# against the fragment-walk oracle. A failing input lands in the package's
 # testdata/fuzz directory; commit it as a regression seed.
 fuzz:
+	$(GO) test -run=NONE -fuzz='^FuzzTraceRead$$' -fuzztime 5s ./internal/trace
 	$(GO) test -run=NONE -fuzz='^FuzzReadRST$$' -fuzztime 5s ./internal/harl
 	$(GO) test -run=NONE -fuzz='^FuzzReadTieredRST$$' -fuzztime 5s ./internal/harl
 	$(GO) test -run=NONE -fuzz='^FuzzGeometryDistribute$$' -fuzztime 5s ./internal/layout

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -154,20 +155,42 @@ func TestReadSkipsCommentsAndBlank(t *testing.T) {
 
 func TestReadErrors(t *testing.T) {
 	cases := []string{
-		"1 0 3 r 0 100 0 5\n",                     // missing header
-		"#iosig-trace v1\n1 0 3 r 0 100\n",        // short line
-		"#iosig-trace v1\n1 0 3 x 0 100 0 5\n",    // bad op
-		"#iosig-trace v1\nz 0 3 r 0 100 0 5\n",    // bad pid
-		"#iosig-trace v1\n1 0 3 r -9 100 0 5\n",   // negative offset
-		"#iosig-trace v1\n1 0 3 r 0 0 0 5\n",      // zero size
-		"#iosig-trace v1\n1 0 3 r 0 100 9 5\n",    // end before start
-		"#iosig-trace v1\n1 0 3 r 0 1e3 0 5\n",    // non-integer size
-		"#iosig-trace v1\n1 0 3 r 0 100 0 5 66\n", // extra field
+		"1 0 3 r 0 100 0 5\n",                                     // missing header
+		"#iosig-trace v1\n1 0 3 r 0 100\n",                        // short line
+		"#iosig-trace v1\n1 0 3 x 0 100 0 5\n",                    // bad op
+		"#iosig-trace v1\nz 0 3 r 0 100 0 5\n",                    // bad pid
+		"#iosig-trace v1\n1 0 3 r -9 100 0 5\n",                   // negative offset
+		"#iosig-trace v1\n1 0 3 r 0 0 0 5\n",                      // zero size
+		"#iosig-trace v1\n1 0 3 r 0 100 9 5\n",                    // end before start
+		"#iosig-trace v1\n1 0 3 r 0 1e3 0 5\n",                    // non-integer size
+		"#iosig-trace v1\n1 0 3 r 0 100 0 5 66\n",                 // extra field
+		"#iosig-trace v1\n1 0 3 w 9223372036854775807 4096 0 1\n", // extent overflows
 	}
 	for i, in := range cases {
 		if _, err := Read(strings.NewReader(in)); err == nil {
 			t.Errorf("case %d: bad input accepted", i)
 		}
+	}
+}
+
+// TestReadRejectsExtentOverflow is the regression for a record whose
+// Offset+Size wraps int64: Read used to accept it, and the analysis
+// then saw a negative extent (summary reported a 4096-byte file, divide
+// put both requests in one region [0,4096)).
+func TestReadRejectsExtentOverflow(t *testing.T) {
+	in := "#iosig-trace v1\n" +
+		"1 0 3 w 9223372036854775807 4096 0 1\n" +
+		"1 0 3 w 0 4096 1 2\n"
+	if _, err := Read(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("overflowing record: err = %v, want a line 2 rejection", err)
+	}
+	edge := Record{Op: device.Write, Offset: math.MaxInt64 - 4096, Size: 4096}
+	if err := edge.Validate(); err != nil {
+		t.Fatalf("extent ending exactly at MaxInt64 rejected: %v", err)
+	}
+	edge.Offset++
+	if edge.Validate() == nil {
+		t.Fatal("extent one past MaxInt64 accepted")
 	}
 }
 
