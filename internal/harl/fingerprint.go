@@ -1,11 +1,7 @@
 package harl
 
 import (
-	"bufio"
 	"fmt"
-	"io"
-	"strconv"
-	"strings"
 
 	"harl/internal/stats"
 	"harl/internal/trace"
@@ -85,116 +81,6 @@ func (p *Plan) fingerprint(groups [][]trace.Record) *PlanFingerprint {
 		fp.Regions = append(fp.Regions, fingerprintRegion(e, merged[i]))
 	}
 	return fp
-}
-
-// fpHeader versions the on-disk fingerprint format.
-const fpHeader = "#harl-fp v1"
-
-// fpFloat renders a float exactly and compactly (round-trips via ParseFloat).
-func fpFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// Write encodes the fingerprint as text: a threshold line, then one
-// "offset end h s requests mean cv mix d10..d90" line per region —
-// stored alongside the RST so a later monitoring run can reload the
-// plan-time assumptions.
-func (f *PlanFingerprint) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, fpHeader); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(bw, "threshold %s\n", fpFloat(f.Threshold)); err != nil {
-		return err
-	}
-	for _, r := range f.Regions {
-		if _, err := fmt.Fprintf(bw, "%d %d %d %d %d %s %s %s",
-			r.Offset, r.End, r.H, r.S, r.Requests,
-			fpFloat(r.MeanSize), fpFloat(r.CV), fpFloat(r.WriteMix)); err != nil {
-			return err
-		}
-		for _, d := range r.SizeDeciles {
-			if _, err := fmt.Fprintf(bw, " %s", fpFloat(d)); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(bw); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadFingerprint decodes a fingerprint written by Write.
-func ReadFingerprint(r io.Reader) (*PlanFingerprint, error) {
-	sc := bufio.NewScanner(r)
-	f := &PlanFingerprint{}
-	lineNo := 0
-	sawHeader := false
-	sawThreshold := false
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			if line == fpHeader {
-				sawHeader = true
-			}
-			continue
-		}
-		if !sawHeader {
-			return nil, fmt.Errorf("harl: fingerprint line %d: missing %q header", lineNo, fpHeader)
-		}
-		fields := strings.Fields(line)
-		if fields[0] == "threshold" {
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("harl: fingerprint line %d: malformed threshold", lineNo)
-			}
-			v, err := strconv.ParseFloat(fields[1], 64)
-			if err != nil {
-				return nil, fmt.Errorf("harl: fingerprint line %d: %w", lineNo, err)
-			}
-			f.Threshold = v
-			sawThreshold = true
-			continue
-		}
-		if len(fields) != 17 {
-			return nil, fmt.Errorf("harl: fingerprint line %d: want 17 fields, got %d", lineNo, len(fields))
-		}
-		var reg RegionFingerprint
-		var err error
-		for i, dst := range []*int64{&reg.Offset, &reg.End, &reg.H, &reg.S} {
-			if *dst, err = strconv.ParseInt(fields[i], 10, 64); err != nil {
-				return nil, fmt.Errorf("harl: fingerprint line %d field %d: %w", lineNo, i, err)
-			}
-		}
-		req, err := strconv.Atoi(fields[4])
-		if err != nil {
-			return nil, fmt.Errorf("harl: fingerprint line %d field 4: %w", lineNo, err)
-		}
-		reg.Requests = req
-		for i, dst := range []*float64{&reg.MeanSize, &reg.CV, &reg.WriteMix} {
-			if *dst, err = strconv.ParseFloat(fields[5+i], 64); err != nil {
-				return nil, fmt.Errorf("harl: fingerprint line %d field %d: %w", lineNo, 5+i, err)
-			}
-		}
-		for i := range reg.SizeDeciles {
-			if reg.SizeDeciles[i], err = strconv.ParseFloat(fields[8+i], 64); err != nil {
-				return nil, fmt.Errorf("harl: fingerprint line %d field %d: %w", lineNo, 8+i, err)
-			}
-		}
-		f.Regions = append(f.Regions, reg)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if !sawThreshold {
-		return nil, fmt.Errorf("harl: fingerprint missing threshold line")
-	}
-	if err := f.Validate(); err != nil {
-		return nil, err
-	}
-	return f, nil
 }
 
 // Validate checks the fingerprint's regions are contiguous and sane,

@@ -1,9 +1,7 @@
 package harl
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 
 	"harl/internal/device"
@@ -95,51 +93,22 @@ func TestFingerprintAlignsWithMergedRST(t *testing.T) {
 	}
 }
 
-func TestFingerprintRoundTrip(t *testing.T) {
-	fp := &PlanFingerprint{
-		Threshold: 1.25,
-		Regions: []RegionFingerprint{
-			{Offset: 0, End: 1 << 20, H: 36 << 10, S: 148 << 10, Requests: 100,
-				MeanSize: 65536.5, CV: 0.123456789, WriteMix: 0.75,
-				SizeDeciles: [9]float64{1, 2, 3, 4, 5, 6, 7, 8, 9}},
-			{Offset: 1 << 20, End: 2 << 20, H: 0, S: 512 << 10, Requests: 42,
-				MeanSize: math.Pi * 1e5, CV: 2, WriteMix: 0,
-				SizeDeciles: [9]float64{10, 20, 30, 40, 50, 60, 70, 80, 90}},
-		},
-	}
-	var b bytes.Buffer
-	if err := fp.Write(&b); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFingerprint(&b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Threshold != fp.Threshold {
-		t.Errorf("threshold %v, want %v", got.Threshold, fp.Threshold)
-	}
-	if len(got.Regions) != len(fp.Regions) {
-		t.Fatalf("got %d regions, want %d", len(got.Regions), len(fp.Regions))
-	}
-	for i := range fp.Regions {
-		if got.Regions[i] != fp.Regions[i] {
-			t.Errorf("region %d round-trips to %+v, want %+v", i, got.Regions[i], fp.Regions[i])
-		}
-	}
-}
-
-func TestFingerprintReadRejectsGarbage(t *testing.T) {
-	for name, in := range map[string]string{
-		"no header":    "threshold 1\n0 1 1 1 1 1 0 0 0 0 0 0 0 0 0 0 0\n",
-		"no threshold": fpHeader + "\n",
-		"short line":   fpHeader + "\nthreshold 1\n0 1 1 1\n",
-		"bad float":    fpHeader + "\nthreshold x\n",
-		"gap": fpHeader + "\nthreshold 1\n" +
-			"0 10 4096 0 1 1 0 1 1 1 1 1 1 1 1 1 1\n" +
-			"20 30 4096 0 1 1 0 1 1 1 1 1 1 1 1 1 1\n",
+// TestFingerprintValidateRejects covers the structural checks the
+// monitor relies on when it is handed a fingerprint.
+func TestFingerprintValidateRejects(t *testing.T) {
+	ok := RegionFingerprint{Offset: 0, End: 10, Requests: 1, MeanSize: 1, WriteMix: 1}
+	for name, regions := range map[string][]RegionFingerprint{
+		"empty range": {{Offset: 0, End: 0}},
+		"late start":  {{Offset: 5, End: 10}},
+		"gap":         {ok, {Offset: 20, End: 30}},
+		"bad mix":     {{Offset: 0, End: 10, WriteMix: 1.5}},
+		"negative cv": {{Offset: 0, End: 10, CV: -1}},
 	} {
-		if _, err := ReadFingerprint(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: ReadFingerprint accepted malformed input", name)
+		if (&PlanFingerprint{Regions: regions}).Validate() == nil {
+			t.Errorf("%s: Validate accepted %+v", name, regions)
 		}
+	}
+	if err := (&PlanFingerprint{Regions: []RegionFingerprint{ok, {Offset: 10, End: 30}}}).Validate(); err != nil {
+		t.Errorf("contiguous fingerprint rejected: %v", err)
 	}
 }
