@@ -3,11 +3,14 @@
 //
 // Usage:
 //
-//	btiosim [-class A] [-ranks 16] [-layout fixed:64K | -layout harl] [-seed 1]
+//	btiosim [-class A] [-ranks 16] [-nodes 8] [-subtype full|simple]
+//	        [-layout fixed:64K | -layout harl] [-seed 1]
 //
-// The harl layout traces an instrumented first run on the default 64 KB
-// layout, analyzes it, and measures the optimized placement — the full
-// three-phase pipeline of the paper.
+// Every layout runs through the experiments BTIO driver
+// (experiments.RunBTIO), the one behind Fig. 12. The harl layout traces
+// an instrumented first run on the default 64 KB layout, analyzes it,
+// and measures the optimized placement — the full three-phase pipeline
+// of the paper.
 package main
 
 import (
@@ -17,11 +20,8 @@ import (
 	"strings"
 
 	"harl/internal/btio"
-	"harl/internal/cluster"
+	"harl/internal/experiments"
 	"harl/internal/harl"
-	"harl/internal/layout"
-	"harl/internal/mpiio"
-	"harl/internal/trace"
 )
 
 func main() {
@@ -32,6 +32,11 @@ func main() {
 	subtype := flag.String("subtype", "full", "I/O subtype: full (collective) or simple (independent)")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	flag.Parse()
+	if *nodes < 1 {
+		fmt.Fprintf(os.Stderr, "btiosim: -nodes must be at least 1, got %d\n", *nodes)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var cfg btio.Config
 	switch strings.ToUpper(*class) {
@@ -45,10 +50,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "btiosim: unknown class %q\n", *class)
 		os.Exit(2)
 	}
-	cfg.RanksPerNode = *ranks / *nodes
-	if cfg.RanksPerNode < 1 {
-		cfg.RanksPerNode = 1
-	}
+	cfg.RanksPerNode = max(1, *ranks / *nodes)
 	switch *subtype {
 	case "full":
 		cfg.Subtype = btio.Full
@@ -58,10 +60,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "btiosim: unknown subtype %q\n", *subtype)
 		os.Exit(2)
 	}
-	clusterCfg := cluster.Default()
-	clusterCfg.Seed = *seed
+	o := experiments.DefaultOptions()
+	o.ComputeNodes = *nodes
+	o.ChunkSize = max(cfg.TotalBytes()/256, 1<<20)
+	o.Seed = *seed
 
-	res, label, err := run(clusterCfg, cfg, *layoutSpec)
+	res, label, err := run(o, cfg, *layoutSpec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "btiosim: %v\n", err)
 		os.Exit(1)
@@ -72,7 +76,9 @@ func main() {
 		res.WriteMBs(), res.ReadMBs(), res.AggregateMBs())
 }
 
-func run(clusterCfg cluster.Config, cfg btio.Config, spec string) (btio.Result, string, error) {
+// run measures cfg under the layout spec through the experiments BTIO
+// driver and returns the result with the layout's label.
+func run(o experiments.Options, cfg btio.Config, spec string) (btio.Result, string, error) {
 	if strings.HasPrefix(spec, "fixed:") {
 		var sz int64
 		s := strings.TrimSuffix(strings.TrimPrefix(spec, "fixed:"), "K")
@@ -80,89 +86,15 @@ func run(clusterCfg cluster.Config, cfg btio.Config, spec string) (btio.Result, 
 			return btio.Result{}, "", fmt.Errorf("bad layout %q", spec)
 		}
 		sz <<= 10
-		res, err := runFixed(clusterCfg, cfg, sz)
+		res, _, err := experiments.RunBTIO(o, cfg, &harl.StripePair{H: sz, S: sz})
 		return res, fmt.Sprintf("%dK fixed", sz>>10), err
 	}
 	if spec != "harl" {
 		return btio.Result{}, "", fmt.Errorf("unknown layout %q", spec)
 	}
-
-	// Tracing phase on the default layout.
-	tb, err := cluster.New(clusterCfg)
+	res, plan, err := experiments.RunBTIO(o, cfg, nil)
 	if err != nil {
-		return btio.Result{}, "", err
+		return res, "", err
 	}
-	w := mpiio.NewWorld(tb.FS, cfg.Ranks, cfg.RanksPerNode)
-	col := trace.NewCollector()
-	var traced *mpiio.TracingFile
-	var createErr error
-	w.Run(func() {
-		w.CreatePlain("btio", layout.Fixed(clusterCfg.HServers, clusterCfg.SServers, 64<<10),
-			func(f *mpiio.PlainFile, err error) {
-				if err != nil {
-					createErr = err
-					return
-				}
-				traced = w.Trace(f, col)
-			})
-	})
-	if createErr != nil {
-		return btio.Result{}, "", createErr
-	}
-	tcfg := cfg
-	tcfg.Verify = false
-	if _, err := btio.Run(w, traced, tcfg); err != nil {
-		return btio.Result{}, "", err
-	}
-
-	// Analysis phase.
-	params, err := tb.Calibrate(1000)
-	if err != nil {
-		return btio.Result{}, "", err
-	}
-	plan, err := harl.Planner{Params: params, ChunkSize: maxI64(cfg.TotalBytes()/256, 1<<20)}.Analyze(col.Trace())
-	if err != nil {
-		return btio.Result{}, "", err
-	}
-
-	// Placing phase + measured run.
-	tb2, err := cluster.New(clusterCfg)
-	if err != nil {
-		return btio.Result{}, "", err
-	}
-	w2 := mpiio.NewWorld(tb2.FS, cfg.Ranks, cfg.RanksPerNode)
-	var f *mpiio.HARLFile
-	w2.Run(func() {
-		w2.CreateHARL("btio", &plan.RST, func(file *mpiio.HARLFile, err error) { f, createErr = file, err })
-	})
-	if createErr != nil {
-		return btio.Result{}, "", createErr
-	}
-	res, err := btio.Run(w2, f, cfg)
-	return res, fmt.Sprintf("harl (%d regions)", len(plan.RST.Entries)), err
-}
-
-func runFixed(clusterCfg cluster.Config, cfg btio.Config, stripe int64) (btio.Result, error) {
-	tb, err := cluster.New(clusterCfg)
-	if err != nil {
-		return btio.Result{}, err
-	}
-	w := mpiio.NewWorld(tb.FS, cfg.Ranks, cfg.RanksPerNode)
-	var f *mpiio.PlainFile
-	var createErr error
-	w.Run(func() {
-		w.CreatePlain("btio", layout.Fixed(clusterCfg.HServers, clusterCfg.SServers, stripe),
-			func(file *mpiio.PlainFile, err error) { f, createErr = file, err })
-	})
-	if createErr != nil {
-		return btio.Result{}, createErr
-	}
-	return btio.Run(w, f, cfg)
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	return res, fmt.Sprintf("harl (%d regions)", len(plan.RST.Entries)), nil
 }

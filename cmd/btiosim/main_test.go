@@ -65,3 +65,12 @@ func TestBTIOSimGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestBTIOSimRejectsZeroNodes is the regression for -nodes 0, which
+// used to panic with an integer divide by zero.
+func TestBTIOSimRejectsZeroNodes(t *testing.T) {
+	_, stderr, code := runBTIOSim(t, "-nodes 0 -class S -ranks 4")
+	if code != 2 || !strings.Contains(stderr, "-nodes must be at least 1") || strings.Contains(stderr, "panic:") {
+		t.Fatalf("btiosim -nodes 0: exit %d, stderr:\n%s", code, stderr)
+	}
+}

@@ -3,27 +3,28 @@
 //
 // Usage:
 //
-//	iorsim [-ranks 16] [-req 512K] [-file 2G] [-hservers 6] [-sservers 2]
+//	iorsim [-ranks 16] [-nodes 8] [-req 512K] [-file 2G] [-hservers 6] [-sservers 2]
 //	       [-layout fixed:64K | -layout varied:32K:160K | -layout harl | -layout random]
 //	       [-seed 1]
 //
-// The harl layout runs the full pipeline: synthesize the tracing-phase
-// trace from the workload plan, calibrate the cost model against the
-// simulated devices, analyze (Algorithms 1 and 2), place, then measure.
+// Every layout runs through the experiments IOR driver (experiments.RunIOR),
+// the one behind Figs. 7-10. The harl layout runs the full pipeline:
+// synthesize the tracing-phase trace from the workload plan, calibrate
+// the cost model against the simulated devices, analyze (Algorithms 1
+// and 2), place, then measure. The random layout is the first of the
+// figures' randomly-chosen stripe pairs for the seed.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"strings"
 
 	"harl/internal/cluster"
+	"harl/internal/experiments"
 	"harl/internal/harl"
 	"harl/internal/ior"
-	"harl/internal/layout"
-	"harl/internal/mpiio"
 )
 
 func main() {
@@ -36,6 +37,11 @@ func main() {
 	layoutSpec := flag.String("layout", "fixed:64K", "fixed:SIZE | varied:H:S | random | harl")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	flag.Parse()
+	if *nodes < 1 {
+		fmt.Fprintf(os.Stderr, "iorsim: -nodes must be at least 1, got %d\n", *nodes)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	cfg := ior.Config{
 		Ranks:        *ranks,
@@ -45,10 +51,13 @@ func main() {
 		Random:       true,
 		Seed:         *seed,
 	}
-	clusterCfg := cluster.WithRatio(*hservers, *sservers)
-	clusterCfg.Seed = *seed
+	o := experiments.DefaultOptions()
+	o.FileSize = cfg.FileSize
+	o.ComputeNodes = *nodes
+	o.ChunkSize = max(cfg.FileSize/256, 1<<20)
+	o.Seed = *seed
 
-	res, label, err := run(clusterCfg, cfg, *layoutSpec, *seed)
+	res, label, err := run(o, cluster.WithRatio(*hservers, *sservers), cfg, *layoutSpec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "iorsim: %v\n", err)
 		os.Exit(1)
@@ -58,82 +67,38 @@ func main() {
 	fmt.Printf("  read:  %8.1f MB/s  (%d bytes in %v)\n", res.ReadMBs(), res.ReadBytes, res.ReadTime)
 }
 
-func run(clusterCfg cluster.Config, cfg ior.Config, spec string, seed int64) (ior.Result, string, error) {
-	var pair harl.StripePair
+// run measures cfg under the layout spec through the experiments IOR
+// driver and returns the result with the layout's label.
+func run(o experiments.Options, clusterCfg cluster.Config, cfg ior.Config, spec string) (ior.Result, string, error) {
+	var pair *harl.StripePair
 	switch {
 	case strings.HasPrefix(spec, "fixed:"):
 		sz := parseSize(strings.TrimPrefix(spec, "fixed:"))
-		pair = harl.StripePair{H: sz, S: sz}
+		pair = &harl.StripePair{H: sz, S: sz}
 	case strings.HasPrefix(spec, "varied:"):
 		parts := strings.Split(spec, ":")
 		if len(parts) != 3 {
 			return ior.Result{}, "", fmt.Errorf("bad varied layout %q, want varied:H:S", spec)
 		}
-		pair = harl.StripePair{H: parseSize(parts[1]), S: parseSize(parts[2])}
+		pair = &harl.StripePair{H: parseSize(parts[1]), S: parseSize(parts[2])}
 	case spec == "random":
-		rng := rand.New(rand.NewSource(seed + 42))
-		pair = harl.StripePair{H: (rng.Int63n(512) + 1) * 4096, S: (rng.Int63n(512) + 1) * 4096}
+		pair = &o.RandomPairs()[0]
 	case spec == "harl":
-		return runHARL(clusterCfg, cfg)
+		// No fixed pair: RunIOR plans the layout.
 	default:
 		return ior.Result{}, "", fmt.Errorf("unknown layout %q", spec)
 	}
-	res, err := runFixed(clusterCfg, cfg, pair)
-	return res, pair.String(), err
-}
-
-func runFixed(clusterCfg cluster.Config, cfg ior.Config, pair harl.StripePair) (ior.Result, error) {
-	tb, err := cluster.New(clusterCfg)
-	if err != nil {
-		return ior.Result{}, err
+	res, plan, err := experiments.RunIOR(o, clusterCfg, cfg, pair, nil)
+	switch {
+	case pair != nil:
+		return res, pair.String(), err
+	case err != nil:
+		return res, "", err
+	case len(plan.Regions) == 1:
+		return res, "harl " + plan.Regions[0].Stripes.String(), nil
+	default:
+		return res, fmt.Sprintf("harl (%d regions)", len(plan.Regions)), nil
 	}
-	w := mpiio.NewWorld(tb.FS, cfg.Ranks, cfg.RanksPerNode)
-	st := layout.Striping{M: clusterCfg.HServers, N: clusterCfg.SServers, H: pair.H, S: pair.S}
-	var f *mpiio.PlainFile
-	var createErr error
-	w.Run(func() {
-		w.CreatePlain("ior", st, func(file *mpiio.PlainFile, err error) { f, createErr = file, err })
-	})
-	if createErr != nil {
-		return ior.Result{}, createErr
-	}
-	return ior.Run(w, f, cfg)
-}
-
-func runHARL(clusterCfg cluster.Config, cfg ior.Config) (ior.Result, string, error) {
-	tb, err := cluster.New(clusterCfg)
-	if err != nil {
-		return ior.Result{}, "", err
-	}
-	params, err := tb.Calibrate(1000)
-	if err != nil {
-		return ior.Result{}, "", err
-	}
-	plan, err := harl.Planner{Params: params, ChunkSize: maxI64(cfg.FileSize/256, 1<<20)}.Analyze(cfg.Trace())
-	if err != nil {
-		return ior.Result{}, "", err
-	}
-	tb2, err := cluster.New(clusterCfg)
-	if err != nil {
-		return ior.Result{}, "", err
-	}
-	w := mpiio.NewWorld(tb2.FS, cfg.Ranks, cfg.RanksPerNode)
-	var f *mpiio.HARLFile
-	var createErr error
-	w.Run(func() {
-		w.CreateHARL("ior", &plan.RST, func(file *mpiio.HARLFile, err error) { f, createErr = file, err })
-	})
-	if createErr != nil {
-		return ior.Result{}, "", createErr
-	}
-	res, err := ior.Run(w, f, cfg)
-	label := "harl"
-	if len(plan.Regions) == 1 {
-		label = "harl " + plan.Regions[0].Stripes.String()
-	} else {
-		label = fmt.Sprintf("harl (%d regions)", len(plan.Regions))
-	}
-	return res, label, err
 }
 
 // parseSize parses "64K", "2M", "1G" or plain bytes.
@@ -153,18 +118,4 @@ func parseSize(s string) int64 {
 		os.Exit(2)
 	}
 	return n * mult
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -65,3 +65,12 @@ func TestIORSimGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestIORSimRejectsZeroNodes is the regression for -nodes 0, which
+// used to panic with an integer divide by zero.
+func TestIORSimRejectsZeroNodes(t *testing.T) {
+	_, stderr, code := runIORSim(t, "-nodes 0 -file 64M")
+	if code != 2 || !strings.Contains(stderr, "-nodes must be at least 1") || strings.Contains(stderr, "panic:") {
+		t.Fatalf("iorsim -nodes 0: exit %d, stderr:\n%s", code, stderr)
+	}
+}

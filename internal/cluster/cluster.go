@@ -95,28 +95,7 @@ func (t *Testbed) Instrument() (*obs.Tracer, *obs.Registry) {
 
 // New builds a testbed: HServers first (indices 0..H-1), then SServers,
 // matching the striping convention of package layout.
-func New(cfg Config) (*Testbed, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	e := sim.NewEngine(cfg.Seed)
-	if cfg.HeapEngine {
-		e = sim.NewHeapEngine(cfg.Seed)
-	}
-	net := netsim.MustNew(e, cfg.Network)
-	profiles := make([]device.Profile, 0, cfg.HServers+cfg.SServers)
-	for i := 0; i < cfg.HServers; i++ {
-		profiles = append(profiles, cfg.HProfile)
-	}
-	for i := 0; i < cfg.SServers; i++ {
-		profiles = append(profiles, cfg.SProfile)
-	}
-	fs, err := pfs.New(e, net, profiles)
-	if err != nil {
-		return nil, err
-	}
-	return &Testbed{Config: cfg, Engine: e, Net: net, FS: fs}, nil
-}
+func New(cfg Config) (*Testbed, error) { return Build(cfg, nil) }
 
 // MustNew is New for known-good configurations; it panics on error.
 func MustNew(cfg Config) *Testbed {
@@ -132,25 +111,59 @@ func MustNew(cfg Config) *Testbed {
 // more than two performance profiles. Profiles must be ordered slowest
 // class first to match tiered striping conventions.
 func NewCustom(profiles []device.Profile, netCfg netsim.Config, seed int64) (*Testbed, error) {
-	if err := netCfg.Validate(); err != nil {
-		return nil, err
+	return Build(Config{Network: netCfg, Seed: seed}, profiles)
+}
+
+// Build is the one testbed constructor. With nil profiles it validates
+// cfg and builds its HServers copies of HProfile then SServers copies
+// of SProfile. Otherwise it builds the given per-server population and
+// takes only Network, Seed and HeapEngine from cfg, which is what the
+// testbed then records as its Config.
+func Build(cfg Config, profiles []device.Profile) (*Testbed, error) {
+	if profiles == nil {
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
+		profiles = make([]device.Profile, 0, cfg.HServers+cfg.SServers)
+		for i := 0; i < cfg.HServers; i++ {
+			profiles = append(profiles, cfg.HProfile)
+		}
+		for i := 0; i < cfg.SServers; i++ {
+			profiles = append(profiles, cfg.SProfile)
+		}
+	} else {
+		if err := cfg.Network.Validate(); err != nil {
+			return nil, err
+		}
+		cfg = Config{Network: cfg.Network, Seed: cfg.Seed, HeapEngine: cfg.HeapEngine}
 	}
-	e := sim.NewEngine(seed)
-	net := netsim.MustNew(e, netCfg)
+	e := sim.NewEngine(cfg.Seed)
+	if cfg.HeapEngine {
+		e = sim.NewHeapEngine(cfg.Seed)
+	}
+	net := netsim.MustNew(e, cfg.Network)
 	fs, err := pfs.New(e, net, profiles)
 	if err != nil {
 		return nil, err
 	}
-	cfg := Config{Network: netCfg, Seed: seed}
 	return &Testbed{Config: cfg, Engine: e, Net: net, FS: fs}, nil
 }
 
 // Calibrate fits the cost-model parameters for this testbed's hardware,
 // as HARL's analysis phase does before optimizing (Section III-G).
 func (tb *Testbed) Calibrate(probes int) (cost.Params, error) {
+	return tb.Config.Calibrate(probes)
+}
+
+// Calibrate fits the cost-model parameters for the hardware cfg
+// describes, without building a testbed. probes <= 0 means
+// cost.DefaultProbes.
+func (c Config) Calibrate(probes int) (cost.Params, error) {
+	if err := c.Validate(); err != nil {
+		return cost.Params{}, err
+	}
 	if probes <= 0 {
 		probes = cost.DefaultProbes
 	}
-	return cost.Calibrate(tb.Config.HProfile, tb.Config.SProfile, tb.Config.Network,
-		tb.Config.HServers, tb.Config.SServers, probes, tb.Config.Seed+100)
+	return cost.Calibrate(c.HProfile, c.SProfile, c.Network, c.HServers, c.SServers, probes, c.Seed+100)
 }

@@ -127,3 +127,51 @@ func TestDeterministicBuild(t *testing.T) {
 		t.Fatal("identical configs calibrated differently")
 	}
 }
+
+// TestBuildTakesEngineChoiceFromConfig checks both populations honor
+// HeapEngine and that a profile-list testbed records only the network,
+// seed and engine choice.
+func TestBuildTakesEngineChoiceFromConfig(t *testing.T) {
+	cfg := Default()
+	cfg.Seed = 7
+	cfg.HeapEngine = true
+	tb, err := Build(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tb.Config != cfg {
+		t.Fatalf("two-class testbed recorded %+v, want %+v", tb.Config, cfg)
+	}
+	custom, err := Build(cfg, []device.Profile{device.DefaultHDD(), device.DefaultSSD()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Config{Network: cfg.Network, Seed: 7, HeapEngine: true}
+	if custom.Config != want {
+		t.Fatalf("profile testbed recorded %+v, want %+v", custom.Config, want)
+	}
+	if h, s := custom.FS.CountRoles(); h != 1 || s != 1 {
+		t.Fatalf("roles = %d:%d", h, s)
+	}
+}
+
+// TestConfigCalibrate checks calibrating from a Config matches
+// calibrating the testbed built from it, and still validates.
+func TestConfigCalibrate(t *testing.T) {
+	cfg := WithRatio(4, 4)
+	cfg.Seed = 3
+	p, err := cfg.Calibrate(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := MustNew(cfg).Calibrate(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p != q {
+		t.Fatalf("config calibration %+v != testbed calibration %+v", p, q)
+	}
+	if _, err := (Config{}).Calibrate(100); err == nil {
+		t.Fatal("invalid config calibrated")
+	}
+}

@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 
+	"harl/internal/cluster"
 	"harl/internal/cost"
 	"harl/internal/harl"
 	"harl/internal/region"
-	"harl/internal/trace"
 )
 
 // Ablation experiments isolate HARL's design choices (DESIGN.md §5).
@@ -22,16 +22,15 @@ func AblationRegionDivision(o Options) (*Table, error) {
 		Title:   "Ablation: region division strategy (non-uniform workload)",
 		Columns: []string{"read MB/s", "write MB/s", "regions"},
 	}
-	clusterCfg := o.clusterDefault()
 	mcfg := o.multiConfig()
-	params, err := calibrated(clusterCfg, o.Probes)
+	p, err := o.planner(cluster.Default())
 	if err != nil {
 		return nil, err
 	}
 	tr := mcfg.Trace()
 
 	run := func(label string, rst harl.RST) error {
-		res, err := runMultiHARL(clusterCfg, mcfg, rst)
+		res, err := o.runMulti(mcfg, &rst)
 		if err != nil {
 			return err
 		}
@@ -40,10 +39,9 @@ func AblationRegionDivision(o Options) (*Table, error) {
 	}
 
 	// Whole-file: a single region covering the trace, optimized once.
-	sorted := &trace.Trace{Records: append([]trace.Record(nil), tr.Records...)}
-	sorted.SortByOffset()
+	sorted := sortedCopy(tr)
 	sum := sorted.Summarize()
-	opt := harl.Optimizer{Params: params}
+	opt := harl.Optimizer{Params: p.Params}
 	pair, _ := opt.OptimizeRegion(sorted.Records, 0, sum.AvgSize)
 	whole := harl.RST{Entries: []harl.RSTEntry{{Offset: 0, End: sum.MaxOffset, H: pair.H, S: pair.S}}}
 	if err := run(fmt.Sprintf("whole-file %v", pair), whole); err != nil {
@@ -70,7 +68,7 @@ func AblationRegionDivision(o Options) (*Table, error) {
 	}
 
 	// HARL's CV-based adaptive division.
-	plan, err := harl.Planner{Params: params, ChunkSize: o.ChunkSize, Parallelism: o.Parallelism}.Analyze(tr)
+	plan, err := p.Analyze(tr)
 	if err != nil {
 		return nil, err
 	}
@@ -89,9 +87,9 @@ func AblationCostModel(o Options) (*Table, error) {
 		Title:   "Ablation: cost model terms (16 procs, 128KB requests)",
 		Columns: []string{"read MB/s", "write MB/s"},
 	}
-	clusterCfg := o.clusterDefault()
+	clusterCfg := cluster.Default()
 	cfg := o.iorConfig(o.Ranks, 128<<10)
-	params, err := calibrated(clusterCfg, o.Probes)
+	p, err := o.planner(clusterCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -112,11 +110,13 @@ func AblationCostModel(o Options) (*Table, error) {
 			return p
 		}},
 	} {
-		plan, err := harl.Planner{Params: variant.mutate(params), ChunkSize: o.ChunkSize, Parallelism: o.Parallelism}.Analyze(cfg.Trace())
+		vp := p
+		vp.Params = variant.mutate(p.Params)
+		plan, err := vp.Analyze(cfg.Trace())
 		if err != nil {
 			return nil, err
 		}
-		res, err := runIORHARL(clusterCfg, cfg, plan.RST)
+		res, err := o.runIOR(scenario{cluster: clusterCfg}, cfg, &plan.RST)
 		if err != nil {
 			return nil, err
 		}
@@ -133,19 +133,20 @@ func AblationThreshold(o Options) (*Table, error) {
 		Title:   "Ablation: CV threshold vs region count (non-uniform workload)",
 		Columns: []string{"regions", "read MB/s", "write MB/s"},
 	}
-	clusterCfg := o.clusterDefault()
 	mcfg := o.multiConfig()
-	params, err := calibrated(clusterCfg, o.Probes)
+	p, err := o.planner(cluster.Default())
 	if err != nil {
 		return nil, err
 	}
 	tr := mcfg.Trace()
 	for _, threshold := range []float64{25, 100, 400, 1600, 1e9} {
-		plan, err := harl.Planner{Params: params, ChunkSize: o.ChunkSize, Threshold: threshold, Parallelism: o.Parallelism}.Analyze(tr)
+		vp := p
+		vp.Threshold = threshold
+		plan, err := vp.Analyze(tr)
 		if err != nil {
 			return nil, err
 		}
-		res, err := runMultiHARL(clusterCfg, mcfg, plan.RST)
+		res, err := o.runMulti(mcfg, &plan.RST)
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"harl/internal/baselines"
+	"harl/internal/cluster"
 	"harl/internal/harl"
 )
 
@@ -17,17 +18,18 @@ func BaselineComparison(o Options) (*Table, error) {
 		Title:   "Baseline: HARL vs CARL-style region placement (non-uniform workload)",
 		Columns: []string{"read MB/s", "write MB/s", "SSD bytes %"},
 	}
-	clusterCfg := o.clusterDefault()
+	clusterCfg := cluster.Default()
 	mcfg := o.multiConfig()
-	params, err := calibrated(clusterCfg, o.Probes)
+	p, err := o.planner(clusterCfg)
 	if err != nil {
 		return nil, err
 	}
+	p.MaxRequests = 64
 	tr := mcfg.Trace()
 	total := mcfg.FileSize()
 
 	run := func(label string, rst harl.RST) error {
-		res, err := runMultiHARL(clusterCfg, mcfg, rst)
+		res, err := o.runMulti(mcfg, &rst)
 		if err != nil {
 			return fmt.Errorf("%s: %w", label, err)
 		}
@@ -38,10 +40,10 @@ func BaselineComparison(o Options) (*Table, error) {
 
 	for _, budgetFrac := range []float64{0.25, 0.5} {
 		carl, err := baselines.CARLPlanner{
-			Params:      params,
-			ChunkSize:   o.ChunkSize,
-			MaxRequests: 64,
-			Parallelism: o.Parallelism,
+			Params:      p.Params,
+			ChunkSize:   p.ChunkSize,
+			MaxRequests: p.MaxRequests,
+			Parallelism: p.Parallelism,
 			SSDBudget:   int64(float64(total) * budgetFrac),
 		}.Analyze(tr)
 		if err != nil {
@@ -52,7 +54,7 @@ func BaselineComparison(o Options) (*Table, error) {
 		}
 	}
 
-	harlPlan, err := harl.Planner{Params: params, ChunkSize: o.ChunkSize, MaxRequests: 64, Parallelism: o.Parallelism}.Analyze(tr)
+	harlPlan, err := p.Analyze(tr)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,7 @@ import (
 	"harl/internal/btio"
 	"harl/internal/cluster"
 	"harl/internal/harl"
-	"harl/internal/mpiio"
+	"harl/internal/layout"
 	"harl/internal/obs"
 	"harl/internal/telemetry"
 )
@@ -93,21 +93,15 @@ func BenchSnapshot(o Options) (BenchStats, error) {
 	st.AnalysisWallSeconds = time.Since(t0).Seconds()
 
 	// Fixed-stripe BTIO at this option set's class.
-	clusterCfg := o.clusterDefault()
-	tb, err := cluster.New(clusterCfg)
+	clusterCfg := cluster.Default()
+	tb, err := o.testbed(scenario{cluster: clusterCfg})
 	if err != nil {
 		return st, err
 	}
 	cfg := o.BTIOClass(4)
-	w := mpiio.NewWorld(tb.FS, cfg.Ranks, o.ranksPerNode(cfg.Ranks))
-	var f *mpiio.PlainFile
-	var createErr error
-	w.Run(func() {
-		w.CreatePlain("btio", fixedStriping(clusterCfg, harl.StripePair{H: 64 << 10, S: 64 << 10}),
-			func(file *mpiio.PlainFile, err error) { f, createErr = file, err })
-	})
-	if createErr != nil {
-		return st, createErr
+	w, f, err := o.world(tb, cfg.Ranks, "btio", layout.Fixed(clusterCfg.HServers, clusterCfg.SServers, 64<<10))
+	if err != nil {
+		return st, err
 	}
 	if _, err := btio.Run(w, f, cfg); err != nil {
 		return st, err
@@ -122,7 +116,7 @@ func BenchSnapshot(o Options) (BenchStats, error) {
 	st.DriftEndSeconds = drift.End.Sub(0).Seconds()
 
 	// ScaleHuge: the engine-scale scenario, timed on the host clock.
-	huge, err := RunScaleHuge(o.Seed)
+	huge, err := RunScaleHuge(o)
 	if err != nil {
 		return st, err
 	}
@@ -174,16 +168,15 @@ func BenchSnapshot(o Options) (BenchStats, error) {
 	runtime.ReadMemStats(&ms1)
 	bareAllocs := ms1.Mallocs - ms0.Mallocs
 
-	ao := o
 	var tel *telemetry.T
-	ao.Attach = func(tb *cluster.Testbed) {
+	ao := o.withAttach(func(tb *cluster.Testbed) {
 		t, terr := telemetry.New(telemetry.Config{Seed: o.Seed, RingSpans: 512})
 		if terr != nil {
 			return
 		}
 		tel = t
 		tb.FS.Instrument(obs.NewStreamTracer(tb.Engine, t), obs.NewRegistry())
-	}
+	})
 	runtime.ReadMemStats(&ms0)
 	t0 = time.Now()
 	if _, err := traceIOR(ao, false); err != nil {
@@ -206,10 +199,9 @@ func BenchSnapshot(o Options) (BenchStats, error) {
 
 	// Sketch overhead: the same IOR replay with the tail-latency sketch
 	// layer attached, against the bare wall-clock measured above.
-	sko := o
-	sko.Attach = func(tb *cluster.Testbed) {
+	sko := o.withAttach(func(tb *cluster.Testbed) {
 		tb.FS.AttachSketches(obs.NewSketchSet(tb.Engine, obs.SketchConfig{}))
-	}
+	})
 	t0 = time.Now()
 	if _, err := traceIOR(sko, false); err != nil {
 		return st, err

@@ -11,7 +11,6 @@ import (
 	"harl/internal/harl"
 	"harl/internal/ior"
 	"harl/internal/layout"
-	"harl/internal/mpiio"
 	"harl/internal/obs"
 	"harl/internal/pfs"
 	"harl/internal/sim"
@@ -57,17 +56,16 @@ func TraceIOR(o Options) (*TraceRun, error) {
 // differential test can run the identical workload bare and compare
 // results event-for-event.
 func traceIOR(o Options, instrument bool) (*TraceRun, error) {
-	clusterCfg := o.clusterDefault()
-	params, err := calibrated(clusterCfg, o.Probes)
+	p, err := o.planner(cluster.Default())
 	if err != nil {
 		return nil, err
 	}
 	cfg := o.iorConfig(o.Ranks, 512<<10)
-	plan, err := harl.Planner{Params: params, ChunkSize: o.ChunkSize, Parallelism: o.Parallelism}.Analyze(cfg.Trace())
+	plan, err := p.Analyze(cfg.Trace())
 	if err != nil {
 		return nil, err
 	}
-	return placedIOR(o, params, plan, cfg, instrument, nil)
+	return placedIOR(o, p.Params, plan, cfg, instrument, nil)
 }
 
 // placedIOR executes the IOR workload on a fresh cluster under an
@@ -76,31 +74,17 @@ func traceIOR(o Options, instrument bool) (*TraceRun, error) {
 // for virtually scaling a resource. With a nil adjust and instrument
 // false this is the exact bare replay of the seeded scenario.
 func placedIOR(o Options, params cost.Params, plan *harl.Plan, cfg ior.Config, instrument bool, adjust func(*cluster.Testbed)) (*TraceRun, error) {
-	clusterCfg := o.clusterDefault()
-	tb, err := cluster.New(clusterCfg)
+	tb, err := o.testbed(scenario{cluster: cluster.Default(), adjust: adjust})
 	if err != nil {
 		return nil, err
-	}
-	if adjust != nil {
-		adjust(tb)
-	}
-	if o.Attach != nil {
-		o.Attach(tb)
 	}
 	run := &TraceRun{Plan: plan, FS: tb.FS, Params: params, Config: cfg, Opts: o}
 	if instrument {
 		run.Tracer, run.Metrics = tb.Instrument()
 	}
-	w := mpiio.NewWorld(tb.FS, cfg.Ranks, cfg.RanksPerNode)
-	var f *mpiio.HARLFile
-	var createErr error
-	w.Run(func() {
-		w.CreateHARL("ior", &plan.RST, func(file *mpiio.HARLFile, err error) {
-			f, createErr = file, err
-		})
-	})
-	if createErr != nil {
-		return nil, createErr
+	w, f, err := o.world(tb, cfg.Ranks, "ior", &plan.RST)
+	if err != nil {
+		return nil, err
 	}
 	res, err := ior.Run(w, f, cfg)
 	if err != nil {

@@ -6,9 +6,7 @@ import (
 
 	"harl/internal/cluster"
 	"harl/internal/faults"
-	"harl/internal/harl"
 	"harl/internal/layout"
-	"harl/internal/mpiio"
 	"harl/internal/pfs"
 	"harl/internal/sim"
 	"harl/internal/stats"
@@ -120,40 +118,26 @@ func runChaosIOR(o Options, policy pfs.Policy, withFaults bool) (ChaosResult, er
 	reqSize := chaosRequestSize(co.FileSize)
 	cfg := co.iorConfig(co.Ranks, reqSize)
 
-	clusterCfg := o.clusterDefault()
-
 	// Plan the layout from the workload trace, exactly as the fault-free
 	// figures do.
-	params, err := calibrated(clusterCfg, o.Probes)
+	p, err := o.planner(cluster.Default())
 	if err != nil {
 		return ChaosResult{}, err
 	}
-	plan, err := harl.Planner{Params: params, ChunkSize: co.ChunkSize, Parallelism: o.Parallelism}.Analyze(cfg.Trace())
+	plan, err := p.Analyze(cfg.Trace())
 	if err != nil {
 		return ChaosResult{}, err
 	}
 
-	tb, err := cluster.New(clusterCfg)
+	tb, err := o.testbed(scenario{cluster: cluster.Default(), policy: policy})
 	if err != nil {
 		return ChaosResult{}, err
 	}
-	tb.FS.ClientPolicy = policy // before NewWorld: clients copy it at creation
-	if o.Attach != nil {
-		o.Attach(tb)
+	_, f, err := o.world(tb, cfg.Ranks, "chaos", &plan.RST)
+	if err != nil {
+		return ChaosResult{}, err
 	}
-	w := mpiio.NewWorld(tb.FS, cfg.Ranks, cfg.RanksPerNode)
 	e := tb.Engine
-
-	var f *mpiio.HARLFile
-	var createErr error
-	w.Run(func() {
-		w.CreateHARL("chaos", &plan.RST, func(file *mpiio.HARLFile, err error) {
-			f, createErr = file, err
-		})
-	})
-	if createErr != nil {
-		return ChaosResult{}, createErr
-	}
 
 	var sched faults.Schedule
 	var flog *faults.Log
@@ -330,31 +314,21 @@ func runHedgeScan(o Options, hedged bool, dropP float64) (hedgeRun, error) {
 	fileSize := chaosFileSize(o.FileSize)
 	const reqSize = 64 << 10
 
-	clusterCfg := o.clusterDefault()
-	tb, err := cluster.New(clusterCfg)
-	if err != nil {
-		return hedgeRun{}, err
-	}
+	clusterCfg := cluster.Default()
 	policy := o.clientPolicy()
 	if !hedged {
 		policy.HedgeAfter = 0
 	}
-	tb.FS.ClientPolicy = policy
-	ranks := o.Ranks
-	w := mpiio.NewWorld(tb.FS, ranks, o.ranksPerNode(ranks))
-	e := tb.Engine
-
-	st := layout.Striping{M: clusterCfg.HServers, N: clusterCfg.SServers, H: 64 << 10, S: 64 << 10}
-	var f *mpiio.PlainFile
-	var createErr error
-	w.Run(func() {
-		w.CreatePlain("hedge", st, func(file *mpiio.PlainFile, err error) {
-			f, createErr = file, err
-		})
-	})
-	if createErr != nil {
-		return hedgeRun{}, createErr
+	tb, err := o.testbed(scenario{cluster: clusterCfg, policy: policy})
+	if err != nil {
+		return hedgeRun{}, err
 	}
+	ranks := o.Ranks
+	w, f, err := o.world(tb, ranks, "hedge", layout.Fixed(clusterCfg.HServers, clusterCfg.SServers, 64<<10))
+	if err != nil {
+		return hedgeRun{}, err
+	}
+	e := tb.Engine
 
 	slab := fileSize / int64(ranks)
 	opsPerRank := int(slab / reqSize)

@@ -8,7 +8,6 @@ import (
 	"harl/internal/diagnose"
 	"harl/internal/faults"
 	"harl/internal/harl"
-	"harl/internal/mpiio"
 	"harl/internal/obs"
 	"harl/internal/sim"
 )
@@ -96,8 +95,6 @@ func RunDoctor(o Options, straggle bool) (*DoctorRun, error) {
 	const reqSize = doctorReqSize
 	cfg := co.iorConfig(co.Ranks, reqSize)
 
-	clusterCfg := o.clusterDefault()
-
 	// The doctor run uses an explicit diagnostic layout rather than a
 	// planned one: every region stripes across BOTH tiers so every server
 	// serves every window (a planner would park a file this small on the
@@ -118,13 +115,9 @@ func RunDoctor(o Options, straggle bool) (*DoctorRun, error) {
 		return nil, err
 	}
 
-	tb, err := cluster.New(clusterCfg)
+	tb, err := o.testbed(scenario{cluster: cluster.Default(), policy: o.clientPolicy()})
 	if err != nil {
 		return nil, err
-	}
-	tb.FS.ClientPolicy = o.clientPolicy()
-	if o.Attach != nil {
-		o.Attach(tb)
 	}
 	e := tb.Engine
 
@@ -143,16 +136,9 @@ func RunDoctor(o Options, straggle bool) (*DoctorRun, error) {
 	tb.FS.AttachSketches(ss)
 	ss.AttachTracer(tr)
 
-	w := mpiio.NewWorld(tb.FS, cfg.Ranks, cfg.RanksPerNode)
-	var f *mpiio.HARLFile
-	var createErr error
-	w.Run(func() {
-		w.CreateHARL("doctor", &rst, func(file *mpiio.HARLFile, err error) {
-			f, createErr = file, err
-		})
-	})
-	if createErr != nil {
-		return nil, createErr
+	_, f, err := o.world(tb, cfg.Ranks, "doctor", &rst)
+	if err != nil {
+		return nil, err
 	}
 
 	// The collective create already advanced the clock, so everything

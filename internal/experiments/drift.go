@@ -145,13 +145,13 @@ func runDrift(o Options, shift, monitored bool) (*DriftRun, error) {
 // ("what if this resource were faster"). Both nil reproduce runDrift
 // exactly, event for event.
 func runDriftWith(o Options, shift, monitored bool, override map[int]harl.StripePair, adjust func(*cluster.Testbed)) (*DriftRun, error) {
-	clusterCfg := o.clusterDefault()
-	params, err := calibrated(clusterCfg, o.Probes)
+	p, err := o.planner(cluster.Default())
 	if err != nil {
 		return nil, err
 	}
+	params := p.Params
 	span := driftSpan(o)
-	plan, err := harl.Planner{Params: params, ChunkSize: o.ChunkSize, Parallelism: o.Parallelism}.Analyze(driftPlanTrace(span))
+	plan, err := p.Analyze(driftPlanTrace(span))
 	if err != nil {
 		return nil, err
 	}
@@ -175,15 +175,9 @@ func runDriftWith(o Options, shift, monitored bool, override map[int]harl.Stripe
 		}
 	}
 
-	tb, err := cluster.New(clusterCfg)
+	tb, err := o.testbed(scenario{cluster: cluster.Default(), adjust: adjust})
 	if err != nil {
 		return nil, err
-	}
-	if adjust != nil {
-		adjust(tb)
-	}
-	if o.Attach != nil {
-		o.Attach(tb)
 	}
 	run := &DriftRun{Plan: plan, Shifted: shift, ShiftedRegion: shiftRegion}
 	if monitored {
@@ -192,17 +186,11 @@ func runDriftWith(o Options, shift, monitored bool, override map[int]harl.Stripe
 		// sizes its window.
 		run.Tracer, run.Metrics = tb.Instrument()
 	}
-	w := mpiio.NewWorld(tb.FS, 2, o.ranksPerNode(2))
-	var f *mpiio.HARLFile
-	var createErr error
-	w.Run(func() {
-		w.CreateHARL("drift", &placed, func(file *mpiio.HARLFile, err error) {
-			f, createErr = file, err
-		})
-	})
-	if createErr != nil {
-		return nil, createErr
+	w, file, err := o.world(tb, 2, "drift", &placed)
+	if err != nil {
+		return nil, err
 	}
+	f := file.(*mpiio.HARLFile)
 
 	// Region interiors the chains write into. Region A is the 64 KB-planned
 	// first region; region B the 2 MB-planned last one (open-ended, but the

@@ -4,9 +4,8 @@ import (
 	"fmt"
 
 	"harl/internal/cluster"
-	"harl/internal/harl"
 	"harl/internal/ior"
-	"harl/internal/mpiio"
+	"harl/internal/layout"
 	"harl/internal/sim"
 )
 
@@ -16,22 +15,16 @@ import (
 // server's accumulated disk I/O time normalized to the fastest server.
 // The paper observes HServers at roughly 350% of SServer time.
 func Fig1a(o Options) (*Table, error) {
-	clusterCfg := o.clusterDefault()
+	clusterCfg := cluster.Default()
 	cfg := o.iorConfig(o.Ranks, 512<<10)
 
-	tb, err := cluster.New(clusterCfg)
+	tb, err := o.testbed(scenario{cluster: clusterCfg})
 	if err != nil {
 		return nil, err
 	}
-	w := mpiio.NewWorld(tb.FS, cfg.Ranks, cfg.RanksPerNode)
-	var f *mpiio.PlainFile
-	var createErr error
-	w.Run(func() {
-		w.CreatePlain("ior", fixedStriping(clusterCfg, harl.StripePair{H: 64 << 10, S: 64 << 10}),
-			func(file *mpiio.PlainFile, err error) { f, createErr = file, err })
-	})
-	if createErr != nil {
-		return nil, createErr
+	w, f, err := o.world(tb, cfg.Ranks, "ior", layout.Fixed(clusterCfg.HServers, clusterCfg.SServers, 64<<10))
+	if err != nil {
+		return nil, err
 	}
 	if _, err := ior.Run(w, f, cfg); err != nil {
 		return nil, err
@@ -63,12 +56,12 @@ func Fig1b(o Options) (*Table, error) {
 		cols[i] = fmt.Sprintf("%dK", s>>10)
 	}
 	t := &Table{Title: "Fig 1(b): IOR throughput, request size x stripe size (MB/s)", Columns: cols}
-	clusterCfg := o.clusterDefault()
+	clusterCfg := cluster.Default()
 	for _, reqSize := range []int64{128 << 10, 512 << 10, 1 << 20, 2 << 20} {
 		values := make([]float64, len(stripes))
 		for i, stripe := range stripes {
 			cfg := o.iorConfig(o.Ranks, reqSize)
-			res, err := runIORFixed(clusterCfg, cfg, harl.StripePair{H: stripe, S: stripe})
+			res, _, err := RunIOR(o, clusterCfg, cfg, fixedPair(stripe), nil)
 			if err != nil {
 				return nil, err
 			}

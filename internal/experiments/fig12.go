@@ -6,7 +6,7 @@ import (
 	"harl/internal/btio"
 	"harl/internal/cluster"
 	"harl/internal/harl"
-	"harl/internal/mpiio"
+	"harl/internal/layout"
 	"harl/internal/trace"
 )
 
@@ -16,19 +16,17 @@ import (
 // The column is the aggregate (write+read) throughput the paper plots.
 func Fig12(o Options) (*Table, error) {
 	t := &Table{Title: "Fig 12: BTIO aggregate throughput", Columns: []string{"MB/s"}}
-	clusterCfg := o.clusterDefault()
-
 	for _, procs := range []int{4, 16, 64} {
 		cfg := o.BTIOClass(procs)
 		cfg.RanksPerNode = o.ranksPerNode(procs)
 		for _, stripe := range o.BTIOStripes {
-			res, err := runBTIOFixed(clusterCfg, cfg, harl.StripePair{H: stripe, S: stripe})
+			res, _, err := RunBTIO(o, cfg, fixedPair(stripe))
 			if err != nil {
 				return nil, fmt.Errorf("fig12 %dp fixed %d: %w", procs, stripe, err)
 			}
 			t.Add(fmt.Sprintf("%dp %dK", procs, stripe>>10), res.AggregateMBs())
 		}
-		res, plan, err := runBTIOHARL(o, clusterCfg, cfg)
+		res, plan, err := RunBTIO(o, cfg, nil)
 		if err != nil {
 			return nil, fmt.Errorf("fig12 %dp harl: %w", procs, err)
 		}
@@ -37,82 +35,60 @@ func Fig12(o Options) (*Table, error) {
 	return t, nil
 }
 
-func runBTIOFixed(clusterCfg cluster.Config, cfg btio.Config, pair harl.StripePair) (btio.Result, error) {
-	tb, err := cluster.New(clusterCfg)
-	if err != nil {
-		return btio.Result{}, err
+// RunBTIO measures the BTIO workload cfg on a fresh default testbed.
+// With a non-nil pair the file is striped with it over every server
+// and no plan is returned. With a nil pair it runs the full pipeline
+// and returns the plan: a traced first run on the default 64 KB layout
+// collects the post-aggregation request stream, the planner analyzes
+// it, and a fresh testbed measures the optimized layout.
+func RunBTIO(o Options, cfg btio.Config, pair *harl.StripePair) (btio.Result, *harl.Plan, error) {
+	clusterCfg := cluster.Default()
+	if pair != nil {
+		res, err := o.runBTIO(cfg, fixedStriping(clusterCfg, *pair))
+		return res, nil, err
 	}
-	w := mpiio.NewWorld(tb.FS, cfg.Ranks, cfg.RanksPerNode)
-	var f *mpiio.PlainFile
-	var createErr error
-	w.Run(func() {
-		w.CreatePlain("btio", fixedStriping(clusterCfg, pair), func(file *mpiio.PlainFile, err error) {
-			f, createErr = file, err
-		})
-	})
-	if createErr != nil {
-		return btio.Result{}, createErr
-	}
-	return btio.Run(w, f, cfg)
-}
 
-// runBTIOHARL executes the full pipeline for BTIO: a traced first run on
-// the default layout collects the post-aggregation request stream, the
-// planner analyzes it, and a fresh testbed measures the optimized layout.
-func runBTIOHARL(o Options, clusterCfg cluster.Config, cfg btio.Config) (btio.Result, *harl.Plan, error) {
 	// Tracing phase: instrument a run on the default 64 KB layout.
-	tb, err := cluster.New(clusterCfg)
+	tb, err := o.testbed(scenario{cluster: clusterCfg})
 	if err != nil {
 		return btio.Result{}, nil, err
 	}
-	w := mpiio.NewWorld(tb.FS, cfg.Ranks, cfg.RanksPerNode)
-	collector := trace.NewCollector()
-	var traced *mpiio.TracingFile
-	var createErr error
-	w.Run(func() {
-		w.CreatePlain("btio", fixedStriping(clusterCfg, harl.StripePair{H: 64 << 10, S: 64 << 10}),
-			func(file *mpiio.PlainFile, err error) {
-				if err != nil {
-					createErr = err
-					return
-				}
-				traced = w.Trace(file, collector)
-			})
-	})
-	if createErr != nil {
-		return btio.Result{}, nil, createErr
+	w, f, err := o.world(tb, cfg.Ranks, "btio", layout.Fixed(clusterCfg.HServers, clusterCfg.SServers, 64<<10))
+	if err != nil {
+		return btio.Result{}, nil, err
 	}
+	collector := trace.NewCollector()
 	traceCfg := cfg
 	traceCfg.Verify = false
-	if _, err := btio.Run(w, traced, traceCfg); err != nil {
+	if _, err := btio.Run(w, w.Trace(f, collector), traceCfg); err != nil {
 		return btio.Result{}, nil, err
 	}
 
 	// Analysis phase.
-	params, err := calibrated(clusterCfg, o.Probes)
+	p, err := o.planner(clusterCfg)
 	if err != nil {
 		return btio.Result{}, nil, err
 	}
-	plan, err := harl.Planner{Params: params, ChunkSize: o.ChunkSize, Parallelism: o.Parallelism}.Analyze(collector.Trace())
+	plan, err := p.Analyze(collector.Trace())
 	if err != nil {
 		return btio.Result{}, nil, err
 	}
 
 	// Placing phase + measured run.
-	tb2, err := cluster.New(clusterCfg)
-	if err != nil {
-		return btio.Result{}, nil, err
-	}
-	w2 := mpiio.NewWorld(tb2.FS, cfg.Ranks, cfg.RanksPerNode)
-	var f *mpiio.HARLFile
-	w2.Run(func() {
-		w2.CreateHARL("btio", &plan.RST, func(file *mpiio.HARLFile, err error) {
-			f, createErr = file, err
-		})
-	})
-	if createErr != nil {
-		return btio.Result{}, nil, createErr
-	}
-	res, err := btio.Run(w2, f, cfg)
+	res, err := o.runBTIO(cfg, &plan.RST)
 	return res, plan, err
+}
+
+// runBTIO runs the BTIO workload cfg on a fresh default testbed, its
+// file laid out by lo (see Options.world).
+func (o Options) runBTIO(cfg btio.Config, lo any) (btio.Result, error) {
+	tb, err := o.testbed(scenario{cluster: cluster.Default()})
+	if err != nil {
+		return btio.Result{}, err
+	}
+	w, f, err := o.world(tb, cfg.Ranks, "btio", lo)
+	if err != nil {
+		return btio.Result{}, err
+	}
+	return btio.Run(w, f, cfg)
 }

@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"harl/internal/cluster"
 )
 
 // TestQuickFiguresGolden regenerates every registered figure at quick
@@ -13,6 +16,13 @@ import (
 // committed (its trailing timing line dropped). Regenerate with:
 //
 //	go run ./cmd/experiments -quick | head -n -1 > internal/experiments/testdata/quick_seed1.txt
+//
+// The figures run on the heap reference engine, while the golden was
+// printed on the timer wheel, so this is also the wheel/heap proof for
+// every figure. Each figure gets its own counting Attach hook, which
+// must see at least one testbed, every one of them on the heap engine:
+// the Options contract that Attach and HeapEngine reach every testbed a
+// driver builds.
 func TestQuickFiguresGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates all 22 figures; run without -short")
@@ -22,9 +32,33 @@ func TestQuickFiguresGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	figs := Figures()
-	tables, err := RunParallel(QuickOptions(), figs, 0)
+	attached := make([]atomic.Int64, len(figs))
+	onWheel := make([]atomic.Int64, len(figs))
+	run := make([]Figure, len(figs))
+	for i, fig := range figs {
+		run[i] = Figure{Name: fig.Name, Run: func(o Options) (*Table, error) {
+			o.Attach = func(tb *cluster.Testbed) {
+				attached[i].Add(1)
+				if !tb.Config.HeapEngine {
+					onWheel[i].Add(1)
+				}
+			}
+			return fig.Run(o)
+		}}
+	}
+	o := QuickOptions()
+	o.HeapEngine = true
+	tables, err := RunParallel(o, run, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i, fig := range figs {
+		if attached[i].Load() == 0 {
+			t.Errorf("figure %s: Attach never ran", fig.Name)
+		}
+		if n := onWheel[i].Load(); n > 0 {
+			t.Errorf("figure %s: %d testbed(s) ignored HeapEngine", fig.Name, n)
+		}
 	}
 	var got strings.Builder
 	for i, table := range tables {

@@ -6,62 +6,59 @@ import (
 	"harl/internal/cluster"
 	"harl/internal/harl"
 	"harl/internal/ior"
-	"harl/internal/mpiio"
+	"harl/internal/trace"
 )
 
-// harlIOR runs the full HARL pipeline for an IOR workload and measures
-// it: trace (the deterministic request plan stands in for the traced
-// first execution — it is exactly the request stream the run replays),
-// calibrate, analyze (Algorithms 1+2), place (per-region files), run.
+// RunIOR measures the IOR workload cfg on a fresh testbed built from
+// clusterCfg. With a non-nil pair the shared file is striped with it
+// over every server and no plan is returned. With a nil pair it runs
+// the full HARL pipeline and returns the plan: trace (the deterministic
+// request plan stands in for the traced first execution — it is exactly
+// the request stream the run replays), calibrate, analyze tr
+// (Algorithms 1+2; nil means cfg.Trace()), place (per-region files),
+// run.
 //
-// onlyOp optionally restricts the analyzed trace to one operation,
-// mirroring the paper's Fig. 7, where the read test is optimized from the
-// read trace ({32K,160K}) and the write test from the write trace
-// ({36K,148K}). Pass opAny to optimize both phases jointly.
-func harlIOR(o Options, clusterCfg cluster.Config, cfg ior.Config, onlyOp int) (ior.Result, *harl.Plan, error) {
-	params, err := calibrated(clusterCfg, o.Probes)
+// Fig. 7 passes only the reads or only the writes as tr, mirroring the
+// paper, where the read test is optimized from the read trace
+// ({32K,160K}) and the write test from the write trace ({36K,148K}).
+func RunIOR(o Options, clusterCfg cluster.Config, cfg ior.Config, pair *harl.StripePair, tr *trace.Trace) (ior.Result, *harl.Plan, error) {
+	s := scenario{cluster: clusterCfg}
+	if pair != nil {
+		res, err := o.runIOR(s, cfg, fixedStriping(clusterCfg, *pair))
+		return res, nil, err
+	}
+	p, err := o.planner(clusterCfg)
 	if err != nil {
 		return ior.Result{}, nil, err
 	}
-	tr := cfg.Trace()
-	if onlyOp == opRead {
-		tr = tr.Reads()
-	} else if onlyOp == opWrite {
-		tr = tr.Writes()
+	if tr == nil {
+		tr = cfg.Trace()
 	}
-	plan, err := harl.Planner{Params: params, ChunkSize: o.ChunkSize, Parallelism: o.Parallelism}.Analyze(tr)
+	plan, err := p.Analyze(tr)
 	if err != nil {
 		return ior.Result{}, nil, err
 	}
-	res, err := runIORHARL(clusterCfg, cfg, plan.RST)
+	res, err := o.runIOR(s, cfg, &plan.RST)
 	return res, plan, err
 }
 
-// Operation filters for harlIOR.
-const (
-	opAny = iota
-	opRead
-	opWrite
-)
-
-// runIORHARL measures an IOR config against an RST-placed file.
-func runIORHARL(clusterCfg cluster.Config, cfg ior.Config, rst harl.RST) (ior.Result, error) {
-	tb, err := cluster.New(clusterCfg)
+// runIOR runs the IOR workload cfg on a fresh testbed built from s, its
+// shared file laid out by lo (see Options.world).
+func (o Options) runIOR(s scenario, cfg ior.Config, lo any) (ior.Result, error) {
+	tb, err := o.testbed(s)
 	if err != nil {
 		return ior.Result{}, err
 	}
-	w := mpiio.NewWorld(tb.FS, cfg.Ranks, cfg.RanksPerNode)
-	var f *mpiio.HARLFile
-	var createErr error
-	w.Run(func() {
-		w.CreateHARL("ior", &rst, func(file *mpiio.HARLFile, err error) {
-			f, createErr = file, err
-		})
-	})
-	if createErr != nil {
-		return ior.Result{}, createErr
+	w, f, err := o.world(tb, cfg.Ranks, "ior", lo)
+	if err != nil {
+		return ior.Result{}, err
 	}
 	return ior.Run(w, f, cfg)
+}
+
+// fixedPair is the fixed layout with one stripe size on every server.
+func fixedPair(stripe int64) *harl.StripePair {
+	return &harl.StripePair{H: stripe, S: stripe}
 }
 
 // Fig7 reproduces "Throughputs of IOR with different layouts": 16
@@ -70,28 +67,28 @@ func runIORHARL(clusterCfg cluster.Config, cfg ior.Config, rst harl.RST) (ior.Re
 // optimized per operation, as in the paper.
 func Fig7(o Options) (*Table, error) {
 	t := &Table{Title: "Fig 7: IOR throughput by layout (16 procs, 512KB)", Columns: []string{"read MB/s", "write MB/s"}}
-	clusterCfg := o.clusterDefault()
+	clusterCfg := cluster.Default()
 	cfg := o.iorConfig(o.Ranks, 512<<10)
 
 	for _, stripe := range o.FixedStripes {
-		res, err := runIORFixed(clusterCfg, cfg, harl.StripePair{H: stripe, S: stripe})
+		res, _, err := RunIOR(o, clusterCfg, cfg, fixedPair(stripe), nil)
 		if err != nil {
 			return nil, fmt.Errorf("fig7 fixed %d: %w", stripe, err)
 		}
 		t.Add(fmt.Sprintf("%dK", stripe>>10), res.ReadMBs(), res.WriteMBs())
 	}
-	for i, pair := range o.randomPairs() {
-		res, err := runIORFixed(clusterCfg, cfg, pair)
+	for i, pair := range o.RandomPairs() {
+		res, _, err := RunIOR(o, clusterCfg, cfg, &pair, nil)
 		if err != nil {
 			return nil, fmt.Errorf("fig7 random %d: %w", i, err)
 		}
 		t.Add(fmt.Sprintf("rand%d (%v)", i+1, pair), res.ReadMBs(), res.WriteMBs())
 	}
-	rRes, rPlan, err := harlIOR(o, clusterCfg, cfg, opRead)
+	rRes, rPlan, err := RunIOR(o, clusterCfg, cfg, nil, cfg.Trace().Reads())
 	if err != nil {
 		return nil, fmt.Errorf("fig7 harl read: %w", err)
 	}
-	wRes, wPlan, err := harlIOR(o, clusterCfg, cfg, opWrite)
+	wRes, wPlan, err := RunIOR(o, clusterCfg, cfg, nil, cfg.Trace().Writes())
 	if err != nil {
 		return nil, fmt.Errorf("fig7 harl write: %w", err)
 	}
@@ -119,32 +116,28 @@ func Fig8(o Options) (*Table, error) {
 			"rand read", "rand write", "HARL read", "HARL write",
 		},
 	}
-	clusterCfg := o.clusterDefault()
-	randPair := o.randomPairs()[0]
+	clusterCfg := cluster.Default()
+	randPair := o.RandomPairs()[0]
 	for _, procs := range []int{8, 32, 128, 256} {
 		cfg := o.iorConfig(procs, 512<<10)
-		def, err := runIORFixed(clusterCfg, cfg, harl.StripePair{H: 64 << 10, S: 64 << 10})
+		def, _, err := RunIOR(o, clusterCfg, cfg, fixedPair(64<<10), nil)
 		if err != nil {
 			return nil, err
 		}
 		bestR, bestW := def.ReadMBs(), def.WriteMBs()
 		for _, stripe := range o.FixedStripes {
-			res, err := runIORFixed(clusterCfg, cfg, harl.StripePair{H: stripe, S: stripe})
+			res, _, err := RunIOR(o, clusterCfg, cfg, fixedPair(stripe), nil)
 			if err != nil {
 				return nil, err
 			}
-			if res.ReadMBs() > bestR {
-				bestR = res.ReadMBs()
-			}
-			if res.WriteMBs() > bestW {
-				bestW = res.WriteMBs()
-			}
+			bestR = max(bestR, res.ReadMBs())
+			bestW = max(bestW, res.WriteMBs())
 		}
-		rnd, err := runIORFixed(clusterCfg, cfg, randPair)
+		rnd, _, err := RunIOR(o, clusterCfg, cfg, &randPair, nil)
 		if err != nil {
 			return nil, err
 		}
-		hres, _, err := harlIOR(o, clusterCfg, cfg, opAny)
+		hres, _, err := RunIOR(o, clusterCfg, cfg, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -162,22 +155,22 @@ func Fig9(o Options) (*Table, error) {
 		Title:   "Fig 9: IOR throughput by request size (16 procs)",
 		Columns: []string{"read MB/s", "write MB/s"},
 	}
-	clusterCfg := o.clusterDefault()
+	clusterCfg := cluster.Default()
 	for _, reqSize := range []int64{128 << 10, 1024 << 10} {
 		cfg := o.iorConfig(o.Ranks, reqSize)
 		for _, stripe := range o.FixedStripes {
-			res, err := runIORFixed(clusterCfg, cfg, harl.StripePair{H: stripe, S: stripe})
+			res, _, err := RunIOR(o, clusterCfg, cfg, fixedPair(stripe), nil)
 			if err != nil {
 				return nil, err
 			}
 			t.Add(fmt.Sprintf("req %dK / %dK", reqSize>>10, stripe>>10), res.ReadMBs(), res.WriteMBs())
 		}
-		rnd, err := runIORFixed(clusterCfg, cfg, o.randomPairs()[0])
+		rnd, _, err := RunIOR(o, clusterCfg, cfg, &o.RandomPairs()[0], nil)
 		if err != nil {
 			return nil, err
 		}
 		t.Add(fmt.Sprintf("req %dK / rand", reqSize>>10), rnd.ReadMBs(), rnd.WriteMBs())
-		hres, plan, err := harlIOR(o, clusterCfg, cfg, opAny)
+		hres, plan, err := RunIOR(o, clusterCfg, cfg, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -194,19 +187,19 @@ func Fig10(o Options) (*Table, error) {
 		Columns: []string{"read MB/s", "write MB/s"},
 	}
 	for _, ratio := range [][2]int{{7, 1}, {6, 2}, {2, 6}} {
-		clusterCfg := o.clusterRatio(ratio[0], ratio[1])
+		clusterCfg := cluster.WithRatio(ratio[0], ratio[1])
 		cfg := o.iorConfig(o.Ranks, 512<<10)
-		def, err := runIORFixed(clusterCfg, cfg, harl.StripePair{H: 64 << 10, S: 64 << 10})
+		def, _, err := RunIOR(o, clusterCfg, cfg, fixedPair(64<<10), nil)
 		if err != nil {
 			return nil, err
 		}
 		t.Add(fmt.Sprintf("%d:%d 64K", ratio[0], ratio[1]), def.ReadMBs(), def.WriteMBs())
-		rnd, err := runIORFixed(clusterCfg, cfg, o.randomPairs()[0])
+		rnd, _, err := RunIOR(o, clusterCfg, cfg, &o.RandomPairs()[0], nil)
 		if err != nil {
 			return nil, err
 		}
 		t.Add(fmt.Sprintf("%d:%d rand", ratio[0], ratio[1]), rnd.ReadMBs(), rnd.WriteMBs())
-		hres, plan, err := harlIOR(o, clusterCfg, cfg, opAny)
+		hres, plan, err := RunIOR(o, clusterCfg, cfg, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -223,31 +216,31 @@ func Fig11(o Options) (*Table, error) {
 		Title:   "Fig 11: non-uniform four-region IOR",
 		Columns: []string{"read MB/s", "write MB/s", "regions"},
 	}
-	clusterCfg := o.clusterDefault()
+	clusterCfg := cluster.Default()
 	mcfg := o.multiConfig()
 
 	for _, stripe := range o.FixedStripes {
-		res, err := runMultiFixed(clusterCfg, mcfg, harl.StripePair{H: stripe, S: stripe})
+		res, err := o.runMulti(mcfg, fixedStriping(clusterCfg, harl.StripePair{H: stripe, S: stripe}))
 		if err != nil {
 			return nil, err
 		}
 		t.Add(fmt.Sprintf("%dK", stripe>>10), res.ReadMBs(), res.WriteMBs(), 1)
 	}
-	rnd, err := runMultiFixed(clusterCfg, mcfg, o.randomPairs()[0])
+	rnd, err := o.runMulti(mcfg, fixedStriping(clusterCfg, o.RandomPairs()[0]))
 	if err != nil {
 		return nil, err
 	}
 	t.Add("rand", rnd.ReadMBs(), rnd.WriteMBs(), 1)
 
-	params, err := calibrated(clusterCfg, o.Probes)
+	p, err := o.planner(clusterCfg)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := harl.Planner{Params: params, ChunkSize: o.ChunkSize, Parallelism: o.Parallelism}.Analyze(mcfg.Trace())
+	plan, err := p.Analyze(mcfg.Trace())
 	if err != nil {
 		return nil, err
 	}
-	res, err := runMultiHARL(clusterCfg, mcfg, plan.RST)
+	res, err := o.runMulti(mcfg, &plan.RST)
 	if err != nil {
 		return nil, err
 	}
@@ -274,40 +267,16 @@ func (o Options) multiConfig() ior.MultiConfig {
 	return m
 }
 
-func runMultiFixed(clusterCfg cluster.Config, cfg ior.MultiConfig, pair harl.StripePair) (ior.Result, error) {
-	tb, err := cluster.New(clusterCfg)
+// runMulti runs the four-region workload cfg on a fresh default testbed,
+// its file laid out by lo (see Options.world).
+func (o Options) runMulti(cfg ior.MultiConfig, lo any) (ior.Result, error) {
+	tb, err := o.testbed(scenario{cluster: cluster.Default()})
 	if err != nil {
 		return ior.Result{}, err
 	}
-	w := mpiio.NewWorld(tb.FS, cfg.Ranks, cfg.RanksPerNode)
-	var f *mpiio.PlainFile
-	var createErr error
-	w.Run(func() {
-		w.CreatePlain("multi", fixedStriping(clusterCfg, pair), func(file *mpiio.PlainFile, err error) {
-			f, createErr = file, err
-		})
-	})
-	if createErr != nil {
-		return ior.Result{}, createErr
-	}
-	return ior.RunMulti(w, f, cfg)
-}
-
-func runMultiHARL(clusterCfg cluster.Config, cfg ior.MultiConfig, rst harl.RST) (ior.Result, error) {
-	tb, err := cluster.New(clusterCfg)
+	w, f, err := o.world(tb, cfg.Ranks, "multi", lo)
 	if err != nil {
 		return ior.Result{}, err
-	}
-	w := mpiio.NewWorld(tb.FS, cfg.Ranks, cfg.RanksPerNode)
-	var f *mpiio.HARLFile
-	var createErr error
-	w.Run(func() {
-		w.CreateHARL("multi", &rst, func(file *mpiio.HARLFile, err error) {
-			f, createErr = file, err
-		})
-	})
-	if createErr != nil {
-		return ior.Result{}, createErr
 	}
 	return ior.RunMulti(w, f, cfg)
 }

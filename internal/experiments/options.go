@@ -5,11 +5,9 @@ import (
 
 	"harl/internal/btio"
 	"harl/internal/cluster"
-	"harl/internal/cost"
 	"harl/internal/harl"
 	"harl/internal/ior"
 	"harl/internal/layout"
-	"harl/internal/mpiio"
 	"harl/internal/pfs"
 	"harl/internal/sim"
 	"harl/internal/trace"
@@ -64,35 +62,21 @@ type Options struct {
 	// replaying a seed replays the exact fault sequence and metrics.
 	ChaosSeed int64
 
-	// HeapEngine runs every testbed on the retained binary-heap
-	// reference engine instead of the timer wheel. Figures must be
-	// byte-identical either way; the engine differential test flips it.
+	// HeapEngine runs every testbed a driver builds, custom server
+	// populations included, on the retained binary-heap reference engine
+	// instead of the timer wheel. Figures must be byte-identical either
+	// way; the engine differential and quick-figure golden tests flip it.
 	HeapEngine bool
 
 	// Attach, when non-nil, is invoked on every testbed a driver builds,
-	// right after construction and before the workload runs. It is the
-	// telemetry hook: RunSLO uses it to wire a streaming tracer and the
-	// flight recorder into the file system. Attached instrumentation must
-	// honor the passive-observer contract — the differential tests verify
-	// an attached run stays event-for-event identical to a bare one.
+	// after the client policy and any what-if adjustment and before the
+	// driver's own observers, the MPI World and the shared file. It is
+	// the telemetry hook: RunSLO and RunRecord wire their streaming
+	// tracer and flight recorder in first and then call it. Attached
+	// instrumentation must honor the passive-observer contract — the
+	// differential tests verify an attached run stays event-for-event
+	// identical to a bare one.
 	Attach func(tb *cluster.Testbed)
-}
-
-// clusterDefault is the paper's default testbed configured by this
-// option set — the single place Seed and the engine choice are applied.
-func (o Options) clusterDefault() cluster.Config {
-	cfg := cluster.Default()
-	cfg.Seed = o.Seed
-	cfg.HeapEngine = o.HeapEngine
-	return cfg
-}
-
-// clusterRatio is clusterDefault with a different HServer:SServer ratio.
-func (o Options) clusterRatio(h, s int) cluster.Config {
-	cfg := o.clusterDefault()
-	cfg.HServers = h
-	cfg.SServers = s
-	return cfg
 }
 
 // clientPolicy maps the option knobs onto the pfs client policy.
@@ -166,9 +150,10 @@ func (o Options) iorConfig(ranks int, requestSize int64) ior.Config {
 	}
 }
 
-// randomPairs draws the "randomly-chosen stripe" layouts: (h, s) pairs on
-// Algorithm 2's 4 KB grid up to 2 MB.
-func (o Options) randomPairs() []harl.StripePair {
+// RandomPairs draws the option set's RandomLayouts "randomly-chosen
+// stripe" layouts: (h, s) pairs on Algorithm 2's 4 KB grid up to 2 MB,
+// from a stream seeded by Seed+42.
+func (o Options) RandomPairs() []harl.StripePair {
 	rng := rand.New(rand.NewSource(o.Seed + 42))
 	pairs := make([]harl.StripePair, o.RandomLayouts)
 	for i := range pairs {
@@ -184,39 +169,9 @@ func fixedStriping(clusterCfg cluster.Config, pair harl.StripePair) layout.Strip
 	return layout.Striping{M: clusterCfg.HServers, N: clusterCfg.SServers, H: pair.H, S: pair.S}
 }
 
-// runIORFixed runs cfg on a fresh testbed with the given striping.
-func runIORFixed(clusterCfg cluster.Config, cfg ior.Config, pair harl.StripePair) (ior.Result, error) {
-	tb, err := cluster.New(clusterCfg)
-	if err != nil {
-		return ior.Result{}, err
-	}
-	w := mpiio.NewWorld(tb.FS, cfg.Ranks, cfg.RanksPerNode)
-	st := fixedStriping(clusterCfg, pair)
-	var f *mpiio.PlainFile
-	var createErr error
-	w.Run(func() {
-		w.CreatePlain("ior", st, func(file *mpiio.PlainFile, err error) {
-			f, createErr = file, err
-		})
-	})
-	if createErr != nil {
-		return ior.Result{}, createErr
-	}
-	return ior.Run(w, f, cfg)
-}
-
 // sortedCopy returns an offset-sorted copy of a trace.
 func sortedCopy(tr *trace.Trace) *trace.Trace {
 	s := &trace.Trace{Records: append([]trace.Record(nil), tr.Records...)}
 	s.SortByOffset()
 	return s
-}
-
-// calibrated returns the fitted cost parameters for a cluster config.
-func calibrated(clusterCfg cluster.Config, probes int) (cost.Params, error) {
-	tb, err := cluster.New(clusterCfg)
-	if err != nil {
-		return cost.Params{}, err
-	}
-	return tb.Calibrate(probes)
 }

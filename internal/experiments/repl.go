@@ -9,7 +9,6 @@ import (
 	"harl/internal/faults"
 	"harl/internal/harl"
 	"harl/internal/layout"
-	"harl/internal/mpiio"
 	"harl/internal/pfs"
 	"harl/internal/repl"
 	"harl/internal/sim"
@@ -164,38 +163,26 @@ func runReplIOR(o Options, policy pfs.Policy, r int, shape ReplShape, withFaults
 	reqSize := chaosRequestSize(co.FileSize)
 	cfg := co.iorConfig(co.Ranks, reqSize)
 
-	clusterCfg := o.clusterDefault()
-	params, err := calibrated(clusterCfg, o.Probes)
+	clusterCfg := cluster.Default()
+	p, err := o.planner(clusterCfg)
 	if err != nil {
 		return ReplResult{}, err
 	}
-	plan, err := harl.Planner{Params: params, ChunkSize: co.ChunkSize, Parallelism: o.Parallelism}.Analyze(cfg.Trace())
+	plan, err := p.Analyze(cfg.Trace())
 	if err != nil {
 		return ReplResult{}, err
 	}
 	rst := replStamp(&plan.RST, r)
 
-	tb, err := cluster.New(clusterCfg)
+	tb, err := o.testbed(scenario{cluster: clusterCfg, policy: policy})
 	if err != nil {
 		return ReplResult{}, err
 	}
-	tb.FS.ClientPolicy = policy // before NewWorld: clients copy it at creation
-	if o.Attach != nil {
-		o.Attach(tb)
+	_, f, err := o.world(tb, cfg.Ranks, "repl", rst)
+	if err != nil {
+		return ReplResult{}, err
 	}
-	w := mpiio.NewWorld(tb.FS, cfg.Ranks, cfg.RanksPerNode)
 	e := tb.Engine
-
-	var f *mpiio.HARLFile
-	var createErr error
-	w.Run(func() {
-		w.CreateHARL("repl", rst, func(file *mpiio.HARLFile, err error) {
-			f, createErr = file, err
-		})
-	})
-	if createErr != nil {
-		return ReplResult{}, createErr
-	}
 
 	var sched faults.Schedule
 	var flog *faults.Log
@@ -401,30 +388,20 @@ type ReplRecovery struct {
 // overwrites the file while it is down (every acked write becomes that
 // replica's lag), then recovers it and measures the catch-up.
 func RunReplRecovery(o Options) (ReplRecovery, error) {
-	clusterCfg := o.clusterDefault()
-	tb, err := cluster.New(clusterCfg)
+	clusterCfg := cluster.Default()
+	tb, err := o.testbed(scenario{cluster: clusterCfg, policy: o.clientPolicy()})
 	if err != nil {
 		return ReplRecovery{}, err
 	}
-	tb.FS.ClientPolicy = o.clientPolicy()
 	const ranks = 4
-	w := mpiio.NewWorld(tb.FS, ranks, o.ranksPerNode(ranks))
-	e := tb.Engine
-
 	fileSize := chaosFileSize(o.FileSize)
 	reqSize := chaosRequestSize(fileSize)
 	rst := &harl.RST{Entries: []harl.RSTEntry{{Offset: 0, End: fileSize, H: 64 << 10, S: 64 << 10, R: 2}}}
-
-	var f *mpiio.HARLFile
-	var createErr error
-	w.Run(func() {
-		w.CreateHARL("recovery", rst, func(file *mpiio.HARLFile, err error) {
-			f, createErr = file, err
-		})
-	})
-	if createErr != nil {
-		return ReplRecovery{}, createErr
+	w, f, err := o.world(tb, ranks, "recovery", rst)
+	if err != nil {
+		return ReplRecovery{}, err
 	}
+	e := tb.Engine
 
 	groups := replGroupsFor(rst, clusterCfg)
 	if len(groups) == 0 {
@@ -598,30 +575,21 @@ func (rep *ReplStatusReport) WriteText(w io.Writer) error {
 // primary mid-write (forcing view changes and lag), and a snapshot of
 // every region's replica state while the crash is still in effect.
 func RunReplStatus(o Options) (*ReplStatusReport, error) {
-	clusterCfg := o.clusterDefault()
-	tb, err := cluster.New(clusterCfg)
+	clusterCfg := cluster.Default()
+	tb, err := o.testbed(scenario{cluster: clusterCfg, policy: o.clientPolicy()})
 	if err != nil {
 		return nil, err
 	}
-	tb.FS.ClientPolicy = o.clientPolicy()
 	const ranks = 4
-	w := mpiio.NewWorld(tb.FS, ranks, o.ranksPerNode(ranks))
-
 	fileSize := chaosFileSize(o.FileSize)
 	half := fileSize / 2
 	rst := &harl.RST{Entries: []harl.RSTEntry{
 		{Offset: 0, End: half, H: 64 << 10, S: 64 << 10},
 		{Offset: half, End: fileSize, H: 64 << 10, S: 64 << 10, R: 2},
 	}}
-	var f *mpiio.HARLFile
-	var createErr error
-	w.Run(func() {
-		w.CreateHARL("status", rst, func(file *mpiio.HARLFile, err error) {
-			f, createErr = file, err
-		})
-	})
-	if createErr != nil {
-		return nil, createErr
+	w, f, err := o.world(tb, ranks, "status", rst)
+	if err != nil {
+		return nil, err
 	}
 
 	groups := replGroupsFor(rst, clusterCfg)

@@ -7,7 +7,6 @@ import (
 	"harl/internal/cluster"
 	"harl/internal/device"
 	"harl/internal/layout"
-	"harl/internal/netsim"
 	"harl/internal/pfs"
 )
 
@@ -38,8 +37,9 @@ type ScaleHugeResult struct {
 	EventsPerSec float64 // Events / WallSeconds
 }
 
-// RunScaleHuge executes the scenario and reports its scale and timing.
-func RunScaleHuge(seed int64) (*ScaleHugeResult, error) {
+// RunScaleHuge executes the scenario on the option set's seed and engine
+// and reports its scale and timing.
+func RunScaleHuge(o Options) (*ScaleHugeResult, error) {
 	profiles := make([]device.Profile, 0, scaleHugeHServers+scaleHugeSServers)
 	for i := 0; i < scaleHugeHServers; i++ {
 		profiles = append(profiles, device.DefaultHDD())
@@ -47,7 +47,7 @@ func RunScaleHuge(seed int64) (*ScaleHugeResult, error) {
 	for i := 0; i < scaleHugeSServers; i++ {
 		profiles = append(profiles, device.DefaultSSD())
 	}
-	tb, err := cluster.NewCustom(profiles, netsim.GigabitEthernet(), seed)
+	tb, err := o.testbed(scenario{cluster: cluster.Default(), profiles: profiles})
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +126,7 @@ func RunScaleHuge(seed int64) (*ScaleHugeResult, error) {
 // byte-identical serial/parallel and wheel/heap comparisons. The timing
 // lives in BenchStats and the committed benchguard snapshot.
 func FigScaleHuge(o Options) (*Table, error) {
-	res, err := RunScaleHuge(o.Seed)
+	res, err := RunScaleHuge(o)
 	if err != nil {
 		return nil, err
 	}

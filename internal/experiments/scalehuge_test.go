@@ -12,7 +12,7 @@ func TestScaleHugeScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ScaleHuge is a multi-second run")
 	}
-	res, err := RunScaleHuge(1)
+	res, err := RunScaleHuge(QuickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestScaleHugeScale(t *testing.T) {
 		t.Errorf("virtual end %v not positive", res.EndSeconds)
 	}
 	// Determinism: a replay reproduces the virtual facts exactly.
-	again, err := RunScaleHuge(1)
+	again, err := RunScaleHuge(QuickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,8 +78,7 @@ func RunSLO(o Options, shape ReplShape, bundleRoot string) (*SLORun, error) {
 	var telErr error
 	var snapshot func() string
 
-	run := o
-	run.Attach = func(tb *cluster.Testbed) {
+	run := o.withAttach(func(tb *cluster.Testbed) {
 		t, err := telemetry.New(telemetry.Config{
 			Seed:       o.Seed,
 			RingSpans:  512,
@@ -103,7 +102,7 @@ func RunSLO(o Options, shape ReplShape, bundleRoot string) (*SLORun, error) {
 		}
 		tel.SetSnapshot(snapshot)
 		attachDoctor(tel, tb)
-	}
+	})
 
 	res, err := runReplIOR(run, o.clientPolicy(), 2, shape, true)
 	if err != nil {
@@ -154,8 +153,7 @@ func RunRecord(o Options, bundleRoot string) (*SLORun, *telemetry.Bundle, error)
 	var snapshot func() string
 	var end func() sim.Time
 
-	ro := o
-	ro.Attach = func(tb *cluster.Testbed) {
+	ro := o.withAttach(func(tb *cluster.Testbed) {
 		t, terr := telemetry.New(telemetry.Config{
 			Seed:      o.Seed,
 			RingSpans: 512,
@@ -178,7 +176,7 @@ func RunRecord(o Options, bundleRoot string) (*SLORun, *telemetry.Bundle, error)
 		tel.SetSnapshot(snapshot)
 		attachDoctor(tel, tb)
 		end = tb.Engine.Now
-	}
+	})
 	res, err := runReplIOR(ro, o.clientPolicy(), 2, ReplShapeCrash, false)
 	if err != nil {
 		return nil, nil, err

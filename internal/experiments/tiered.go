@@ -9,7 +9,6 @@ import (
 	"harl/internal/harl"
 	"harl/internal/ior"
 	"harl/internal/layout"
-	"harl/internal/mpiio"
 )
 
 // ThreeTier exercises the paper's first future-work item on a measured
@@ -38,22 +37,7 @@ func ThreeTier(o Options) (*Table, error) {
 	netCfg := cluster.Default().Network
 
 	runTiered := func(lo layout.Mapper) (ior.Result, error) {
-		tb, err := cluster.NewCustom(profiles, netCfg, o.Seed)
-		if err != nil {
-			return ior.Result{}, err
-		}
-		w := mpiio.NewWorld(tb.FS, cfg.Ranks, cfg.RanksPerNode)
-		var f *mpiio.PlainFile
-		var createErr error
-		w.Run(func() {
-			w.CreatePlain("ior", lo, func(file *mpiio.PlainFile, err error) {
-				f, createErr = file, err
-			})
-		})
-		if createErr != nil {
-			return ior.Result{}, createErr
-		}
-		return ior.Run(w, f, cfg)
+		return o.runIOR(scenario{cluster: cluster.Default(), profiles: profiles}, cfg, lo)
 	}
 
 	// Baseline: fixed 64 KB everywhere.
