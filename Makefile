@@ -40,10 +40,11 @@ monitor:
 # enginediff is the timer-wheel acceptance proof: the wheel engine and
 # the retained heap engine must fire the identical event sequence, both
 # on synthetic schedules and replaying full IOR/chaos/drift scenarios,
-# and the deterministic experiment fan-out must be byte-identical at
-# every worker count.
+# every quick figure regenerated on the heap engine must match the
+# wheel-printed golden byte for byte, and the deterministic experiment
+# fan-out must be byte-identical at every worker count.
 enginediff:
-	$(GO) test -race -run 'TestWheelHeapDifferential|TestEngineWheelHeap|TestRunParallel|TestParallelSeedSweep' ./internal/sim ./internal/experiments
+	$(GO) test -race -run 'TestWheelHeapDifferential|TestEngineWheelHeap|TestRunParallel|TestParallelSeedSweep|TestQuickFiguresGolden' ./internal/sim ./internal/experiments
 
 # slo runs the telemetry suite under the race detector: the flight
 # recorder and burn-rate engine units, the attached-pipeline

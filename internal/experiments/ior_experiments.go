@@ -130,8 +130,12 @@ func Fig8(o Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			bestR = max(bestR, res.ReadMBs())
-			bestW = max(bestW, res.WriteMBs())
+			if res.ReadMBs() > bestR {
+				bestR = res.ReadMBs()
+			}
+			if res.WriteMBs() > bestW {
+				bestW = res.WriteMBs()
+			}
 		}
 		rnd, _, err := RunIOR(o, clusterCfg, cfg, &randPair, nil)
 		if err != nil {

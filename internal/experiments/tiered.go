@@ -7,7 +7,6 @@ import (
 	"harl/internal/cost"
 	"harl/internal/device"
 	"harl/internal/harl"
-	"harl/internal/ior"
 	"harl/internal/layout"
 )
 
@@ -35,13 +34,10 @@ func ThreeTier(o Options) (*Table, error) {
 
 	cfg := o.iorConfig(o.Ranks, 512<<10)
 	netCfg := cluster.Default().Network
-
-	runTiered := func(lo layout.Mapper) (ior.Result, error) {
-		return o.runIOR(scenario{cluster: cluster.Default(), profiles: profiles}, cfg, lo)
-	}
+	bed := scenario{cluster: cluster.Default(), profiles: profiles}
 
 	// Baseline: fixed 64 KB everywhere.
-	def, err := runTiered(layout.Tiered{Counts: counts, Stripes: []int64{64 << 10, 64 << 10, 64 << 10}})
+	def, err := o.runIOR(bed, cfg, layout.Tiered{Counts: counts, Stripes: []int64{64 << 10, 64 << 10, 64 << 10}})
 	if err != nil {
 		return nil, fmt.Errorf("threetier default: %w", err)
 	}
@@ -58,7 +54,7 @@ func ThreeTier(o Options) (*Table, error) {
 		return nil, err
 	}
 	pair, _ := harl.Optimizer{Params: blind}.OptimizeRegion(sorted.Records, 0, avg)
-	res2, err := runTiered(layout.Tiered{Counts: counts, Stripes: []int64{pair.H, pair.S, pair.S}})
+	res2, err := o.runIOR(bed, cfg, layout.Tiered{Counts: counts, Stripes: []int64{pair.H, pair.S, pair.S}})
 	if err != nil {
 		return nil, fmt.Errorf("threetier blind: %w", err)
 	}
@@ -72,7 +68,7 @@ func ThreeTier(o Options) (*Table, error) {
 	}
 	stripes, _ := harl.TieredOptimizer{Params: params}.OptimizeRegion(sorted.Records, 0, avg)
 	lo := layout.Tiered{Counts: counts, Stripes: stripes}
-	res3, err := runTiered(lo)
+	res3, err := o.runIOR(bed, cfg, lo)
 	if err != nil {
 		return nil, fmt.Errorf("threetier aware: %w", err)
 	}
